@@ -72,15 +72,13 @@ def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
     return CostMatrix(len(rows), tuple(rows))
 
 
-def _min_total(costs) -> float:
-    """Minimum-cost perfect matching value, Hungarian method with potentials.
+def _solve(costs) -> list:
+    """Minimum-cost perfect matching, Hungarian method with potentials.
 
-    Standard O(n^3) formulation; only the optimal value is consumed here, the
-    lexicographic mapping is reconstructed separately.
+    Standard O(n^3) formulation (Kuhn 1955); returns mapping[i] = column of
+    row i. Among several optima it returns an arbitrary one.
     """
     n = len(costs)
-    if n == 0:
-        return 0
     inf = float("inf")
     u = [0] * (n + 1)
     v = [0] * (n + 1)
@@ -119,28 +117,26 @@ def _min_total(costs) -> float:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return sum(costs[match[j] - 1][j - 1] for j in range(1, n + 1))
+    return sorted(range(n), key=lambda j: match[j + 1])
 
 
 def hungarian(cost: CostMatrix) -> Assignment:
     """Minimum-total-cost assignment, lexicographically smallest among optima.
 
-    Rows are fixed one at a time: robot i takes the lowest task index whose
-    choice still admits an optimal completion of the remaining rows, which
-    yields the lexicographically smallest optimal mapping deterministically.
+    One solve in exact integers: costs are scaled by the common denominator
+    of their exact ratios, then weighted as c*n^n + j*n^(n-1-i). The
+    tie-break term summed over a mapping is that mapping read as a base-n
+    number, always below n^n, so the weighted problem's unique optimum is the
+    lexicographically smallest optimum of the original one.
     """
     n = cost.n
-    best = _min_total(cost.costs)
-    remaining = list(range(n))
-    mapping = []
-    fixed = 0
-    for i in range(n):
-        for j in remaining:
-            rest = [c for c in remaining if c != j]
-            sub = [[cost.costs[r][c] for c in rest] for r in range(i + 1, n)]
-            if fixed + cost.costs[i][j] + _min_total(sub) == best:
-                mapping.append(j)
-                fixed += cost.costs[i][j]
-                remaining = rest
-                break
-    return Assignment(tuple(mapping), best)
+    ratios = [[c.as_integer_ratio() for c in row] for row in cost.costs]
+    scale = math.lcm(*(den for row in ratios for _, den in row))
+    top = n ** n
+    weights = []
+    for i, row in enumerate(ratios):
+        place = n ** (n - 1 - i)
+        weights.append([num * (scale // den) * top + j * place
+                        for j, (num, den) in enumerate(row)])
+    mapping = tuple(_solve(weights))
+    return Assignment(mapping, sum(cost.costs[i][j] for i, j in enumerate(mapping)))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .assignment import build_cost_matrix, hungarian
 from .executor import simulate
-from .gridworld import BUILTIN_NAMES, Cell, Scenario, ScenarioError, builtin_scenario, load_scenario
+from .gridworld import BUILTIN_NAMES, Cell, Scenario, ScenarioError, _render_grid, builtin_scenario, load_scenario
 from .harness import (
     DEFAULT_CASES,
     DEFAULT_SEED,
@@ -55,17 +55,6 @@ def _make_spec(args) -> PerforationSpec:
     return PerforationSpec(mode, rate.numerator, rate.denominator, seed=args.seed)
 
 
-def _render(grid, marks: dict) -> str:
-    lines = []
-    for y in range(grid.height):
-        row = []
-        for x in range(grid.width):
-            cell = Cell(x, y)
-            row.append(marks.get(cell, "." if grid.is_free(cell) else "#"))
-        lines.append("".join(row))
-    return "\n".join(lines)
-
-
 def _cells_token(cells) -> str:
     return "|".join(f"{c.x}:{c.y}" for c in cells)
 
@@ -86,7 +75,7 @@ def _cmd_plan(args) -> int:
         marks[wp] = "V"
     marks[task.start] = "S"
     marks[task.goal] = "G"
-    print(_render(scenario.grid, marks))
+    print(_render_grid(scenario.grid, marks))
     return 0
 
 
@@ -116,7 +105,7 @@ def _cmd_simulate(args) -> int:
     for ev in report.collisions:
         for cell in ev.cells:
             marks[cell] = "X"
-    print(_render(scenario.grid, marks))
+    print(_render_grid(scenario.grid, marks))
 
     if args.trace:
         lines = ["t,robot_id,x,y"]

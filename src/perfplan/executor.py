@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gridworld import Cell, Scenario
-from .planner import NO_PERFORATION, PerforationSpec, PlanOutcome, plan_multi_leg
+from .planner import NO_PERFORATION, PerforationSpec, PlanOutcome, manhattan, plan_multi_leg
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -30,7 +30,7 @@ class Timeline:
             raise ValueError("timeline needs at least the start position")
         for t in range(1, len(self.positions)):
             a, b = self.positions[t - 1], self.positions[t]
-            if a != b and abs(a.x - b.x) + abs(a.y - b.y) != 1:
+            if a != b and manhattan(a, b) != 1:
                 raise ValueError(f"non-adjacent step {a} -> {b} at tick {t}")
 
     @property

@@ -105,6 +105,24 @@ class RobotTask:
         return list(zip(stops, stops[1:]))
 
 
+def _check_task(grid: GridMap, task: RobotTask, seen_ids: set) -> None:
+    """Raise ValueError unless the task's id is not in `seen_ids` (it is then
+    added), its every cell is in range and free, and it has start != goal or
+    at least one waypoint."""
+    rid = task.robot_id
+    if rid in seen_ids:
+        raise ValueError(f"duplicate robot id {rid}")
+    seen_ids.add(rid)
+    for label, cell in [("start", task.start), ("goal", task.goal)] + [
+            ("waypoint", w) for w in task.waypoints]:
+        if not grid.in_bounds(cell):
+            raise ValueError(f"robot {rid} {label} {cell.x},{cell.y} is out of range")
+        if cell in grid.blocked:
+            raise ValueError(f"robot {rid} {label} on blocked cell {cell.x},{cell.y}")
+    if task.start == task.goal and not task.waypoints:
+        raise ValueError(f"robot {rid} start equals goal without waypoints")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -115,17 +133,7 @@ class Scenario:
         object.__setattr__(self, "tasks", tuple(self.tasks))
         seen = set()
         for task in self.tasks:
-            if task.robot_id in seen:
-                raise ValueError(f"duplicate robot id {task.robot_id}")
-            seen.add(task.robot_id)
-            for label, cell in [("start", task.start), ("goal", task.goal)] + [
-                    ("waypoint", w) for w in task.waypoints]:
-                if not self.grid.in_bounds(cell):
-                    raise ValueError(f"robot {task.robot_id} {label} {cell} out of range")
-                if not self.grid.is_free(cell):
-                    raise ValueError(f"robot {task.robot_id} {label} on blocked cell {cell}")
-            if task.start == task.goal and not task.waypoints:
-                raise ValueError(f"robot {task.robot_id} start equals goal without waypoints")
+            _check_task(self.grid, task, seen)
 
     def task_for(self, robot_id: int) -> RobotTask:
         for task in self.tasks:
@@ -148,15 +156,7 @@ def _parse_cell(token: str, line: int) -> Cell:
         raise ScenarioError(f"expected cell as <x>,<y>, got {token!r}", line) from None
 
 
-def _check_task_cell(grid: GridMap, cell: Cell, label: str, line: int) -> Cell:
-    if not grid.in_bounds(cell):
-        raise ScenarioError(f"{label} {cell.x},{cell.y} is out of range", line)
-    if not grid.is_free(cell):
-        raise ScenarioError(f"{label} on blocked cell {cell.x},{cell.y}", line)
-    return cell
-
-
-def _parse_robot_line(grid: GridMap, tokens: list[str], line: int) -> RobotTask:
+def _parse_robot_line(tokens: list[str], line: int) -> RobotTask:
     try:
         robot_id = int(tokens[1])
     except (IndexError, ValueError):
@@ -164,17 +164,12 @@ def _parse_robot_line(grid: GridMap, tokens: list[str], line: int) -> RobotTask:
     rest = tokens[2:]
     if len(rest) not in (4, 6) or rest[0] != "start" or rest[-2] != "goal":
         raise ScenarioError("expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'", line)
-    start = _check_task_cell(grid, _parse_cell(rest[1], line), "start", line)
-    goal = _check_task_cell(grid, _parse_cell(rest[-1], line), "goal", line)
+    start, goal = _parse_cell(rest[1], line), _parse_cell(rest[-1], line)
     waypoints = ()
     if len(rest) == 6:
         if rest[2] != "via":
             raise ScenarioError(f"expected 'via', got {rest[2]!r}", line)
-        waypoints = tuple(
-            _check_task_cell(grid, _parse_cell(tok, line), "waypoint", line)
-            for tok in rest[3].split(";"))
-    if start == goal and not waypoints:
-        raise ScenarioError(f"robot {robot_id} start equals goal without waypoints", line)
+        waypoints = tuple(_parse_cell(tok, line) for tok in rest[3].split(";"))
     return RobotTask(robot_id, start, goal, waypoints)
 
 
@@ -233,23 +228,29 @@ def load_scenario(text: str, name: str = "scenario") -> Scenario:
         tokens = stripped.split()
         if tokens[0] != "robot":
             raise ScenarioError(f"expected 'robot' line, got {stripped!r}", line)
-        task = _parse_robot_line(grid, tokens, line)
-        if task.robot_id in ids:
-            raise ScenarioError(f"duplicate robot id {task.robot_id}", line)
-        ids.add(task.robot_id)
+        task = _parse_robot_line(tokens, line)
+        try:
+            _check_task(grid, task, ids)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), line) from None
         tasks.append(task)
 
     return Scenario(name, grid, tuple(tasks))
 
 
+def _render_grid(grid: GridMap, marks=None) -> str:
+    """Map rows joined by newlines: `marks[cell]` where given, else '#'/'.'."""
+    marks = marks or {}
+    return "\n".join(
+        "".join(marks.get(Cell(x, y), _BLOCKED_CHAR if Cell(x, y) in grid.blocked else _FREE_CHAR)
+                for x in range(grid.width))
+        for y in range(grid.height))
+
+
 def render_scenario(scenario: Scenario) -> str:
     """Serialize a Scenario back to the file format (inverse of load_scenario)."""
     grid = scenario.grid
-    out = [f"map {grid.width} {grid.height}"]
-    for y in range(grid.height):
-        out.append("".join(
-            _BLOCKED_CHAR if Cell(x, y) in grid.blocked else _FREE_CHAR
-            for x in range(grid.width)))
+    out = [f"map {grid.width} {grid.height}", _render_grid(grid)]
     for task in scenario.tasks:
         parts = [f"robot {task.robot_id} start {task.start.x},{task.start.y}"]
         if task.waypoints:

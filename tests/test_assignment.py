@@ -2,8 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+
+import perfplan.assignment as assignment_module
 
 from oracles import bfs_distance, brute_force_assignment
 from perfplan.assignment import (
@@ -137,3 +140,24 @@ class TestHungarian:
         got = hungarian(CostMatrix.from_rows([[sent, 3], [4, sent]]))
         assert got.mapping == (1, 0) and got.total_cost == 7
         assert math.isfinite(got.total_cost)
+
+    def test_float_costs_match_exact_brute_force(self):
+        # Ties among float sums such as 0.1+0.2 vs 0.3 must be judged exactly:
+        # the oracle enumerates the same costs as Fractions.
+        rng = random.Random(7)
+        for trial in range(300):
+            n = rng.randrange(2, 6)
+            rows = [[rng.choice([0.1, 0.2, 0.3, 0.7, 1.1]) for _ in range(n)] for _ in range(n)]
+            got = hungarian(CostMatrix.from_rows(rows))
+            want_map, want_total = brute_force_assignment([[Fraction(c) for c in r] for r in rows])
+            assert len(got.mapping) == n, f"trial {trial}: {rows}"
+            assert got.mapping == want_map, f"trial {trial}: {rows}"
+            assert got.total_cost == pytest.approx(float(want_total))
+
+    def test_one_solve_per_call(self, monkeypatch):
+        calls = []
+        real = assignment_module._solve
+        monkeypatch.setattr(assignment_module, "_solve", lambda w: calls.append(1) or real(w))
+        rows = [[1, 1, 2], [1, 1, 2], [2, 2, 1]]
+        assert hungarian(CostMatrix.from_rows(rows)).mapping == (0, 1, 2)
+        assert len(calls) == 1

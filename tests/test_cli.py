@@ -121,6 +121,17 @@ class TestReportCommands:
         assert lines[0] == COLLISION_HEADER
         assert lines[1] == "0,2,0.0,1.0"
 
+    def test_collisions_without_valid_variation_is_one(self, tmp_path, capsys):
+        # Three parked robots fill a 3-cell corridor: every re-drawn trial
+        # either has no free start/goal left or collides head-on, so the
+        # study must give up with a clear error instead of retrying forever.
+        path = tmp_path / "corridor.scen"
+        path.write_text("map 3 1\n...\n" + "".join(
+            f"robot {i + 1} start {i},0 via {i},0 goal {i},0\n" for i in range(3)))
+        assert main(["collisions", str(path), "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial 1: no collision-free task variation")
+
 
 class TestAssign:
     def test_happy_path(self, capsys):

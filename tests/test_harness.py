@@ -1,9 +1,11 @@
 """Rate parsing, benchmark sweep, collision study, and report round-trips."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import perfplan.harness as harness_module
 from perfplan.gridworld import Cell, GridMap, RobotTask, Scenario, builtin_scenario
 from perfplan.harness import (
     COLLISION_HEADER,
@@ -97,6 +99,32 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(WAREHOUSE.grid, n_cases=0)
 
+    @pytest.mark.parametrize("measure_wall,reps", [(True, 5), (False, 1)])
+    def test_searches_per_case(self, monkeypatch, measure_wall, reps):
+        # One timed repetition doubles as the counted run.
+        calls = {"exact": 0, "perforated": 0}
+
+        def counting(kind, search):
+            def run(*args, **kwargs):
+                calls[kind] += 1
+                return search(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(harness_module, "astar_exact",
+                            counting("exact", harness_module.astar_exact))
+        monkeypatch.setattr(harness_module, "astar_perforated",
+                            counting("perforated", harness_module.astar_perforated))
+        rates = [Fraction(1, 5), Fraction(3, 4)]
+        rows = sweep(WAREHOUSE.grid, rates=rates, n_cases=3, measure_wall=measure_wall)
+        assert calls == {"exact": 3 * reps, "perforated": 3 * len(rates) * reps}
+        assert all((row.mean_speedup_wall > 0) == measure_wall for row in rows)
+
+    def test_wall_timing_leaves_other_columns_unchanged(self):
+        kw = dict(rates=[Fraction(1, 2), Fraction(22, 25)], n_cases=4)
+        timed = sweep(WAREHOUSE.grid, measure_wall=True, **kw)
+        counted = sweep(WAREHOUSE.grid, measure_wall=False, **kw)
+        assert [dataclasses.replace(r, mean_speedup_wall=0.0) for r in timed] == counted
+
     def test_rate_decimal_property(self):
         rows = sweep(WAREHOUSE.grid, rates=[Fraction(1, 2)], n_cases=2, measure_wall=False)
         assert rows[0].rate_decimal == 0.5
@@ -144,6 +172,17 @@ class TestCollisionStudy:
         )
         with pytest.raises(ValueError, match="collide"):
             collision_study(head_on, rates=[Fraction(0)], n_trials=1)
+
+    def test_gives_up_when_no_variation_is_collision_free(self):
+        # Two robots on a 2-cell corridor: every re-drawn trial swaps them
+        # head-on, so the draws run out instead of looping forever.
+        grid = GridMap(width=2, height=1, blocked=frozenset())
+        parked = Scenario("parked", grid, (
+            RobotTask(1, Cell(0, 0), Cell(0, 0), waypoints=(Cell(0, 0),)),
+            RobotTask(2, Cell(1, 0), Cell(1, 0), waypoints=(Cell(1, 0),)),
+        ))
+        with pytest.raises(ValueError, match="trial 1: no collision-free"):
+            collision_study(parked, rates=[Fraction(0)], n_trials=2)
 
 
 SWEEP_ROWS = [
