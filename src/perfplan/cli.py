@@ -50,9 +50,7 @@ def _load_scenario(ref: str) -> Scenario:
 
 
 def _make_spec(args) -> PerforationSpec:
-    rate = parse_rate(args.rate)
-    mode = _MODE_NAMES[args.mode]
-    return PerforationSpec(mode, rate.numerator, rate.denominator, seed=args.seed)
+    return PerforationSpec.from_rate(parse_rate(args.rate), _MODE_NAMES[args.mode], seed=args.seed)
 
 
 def _cells_token(cells) -> str:

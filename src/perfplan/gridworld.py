@@ -291,27 +291,42 @@ def component_labels(grid: GridMap) -> dict:
     return labels
 
 
+# Draws allowed for one valid start/goal pair before sampling gives up.
+_MAX_DRAWS = 1000
+
+
+def _draw_pair(rng: random.Random, free: list, labels: dict, taken=None):
+    """A (start, goal) pair of distinct cells in one component, or None after
+    _MAX_DRAWS draws. `taken` is (starts, goals) already used: the start may
+    not be among the starts, nor the goal among the goals."""
+    used_starts, used_goals = taken or ((), ())
+    for _ in range(_MAX_DRAWS):
+        start = free[rng.randrange(len(free))]
+        goal = free[rng.randrange(len(free))]
+        if (start != goal and labels[start] == labels[goal]
+                and start not in used_starts and goal not in used_goals):
+            return start, goal
+    return None
+
+
 def random_endpoints(grid: GridMap, seed: int, n: int) -> list[tuple[Cell, Cell]]:
     """Sample n (start, goal) pairs of distinct, mutually reachable free cells.
 
     Pairs are uniform over all valid ordered pairs (rejection sampling) and
-    fully determined by the seed.
+    fully determined by the seed. Raises ValueError when some pair takes more
+    than _MAX_DRAWS draws.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     free = grid.free_cells()
     labels = component_labels(grid)
-    counts: dict[int, int] = {}
-    for label in labels.values():
-        counts[label] = counts.get(label, 0) + 1
-    if not any(c >= 2 for c in counts.values()):
+    if len(set(labels.values())) == len(labels):  # every component is one cell
         raise ValueError("grid has no two mutually reachable free cells")
     rng = random.Random(seed)
     pairs = []
-    while len(pairs) < n:
-        start = free[rng.randrange(len(free))]
-        goal = free[rng.randrange(len(free))]
-        if start == goal or labels[start] != labels[goal]:
-            continue
-        pairs.append((start, goal))
+    for k in range(n):
+        pair = _draw_pair(rng, free, labels)
+        if pair is None:
+            raise ValueError(f"pair {k}: no two mutually reachable free cells drawn in {_MAX_DRAWS} draws")
+        pairs.append(pair)
     return pairs

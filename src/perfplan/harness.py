@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .executor import simulate
-from .gridworld import GridMap, RobotTask, Scenario, component_labels, random_endpoints
+from .gridworld import _MAX_DRAWS, GridMap, RobotTask, Scenario, _draw_pair, component_labels, random_endpoints
 from .metrics import CaseRecord, PathErrorStats, aggregate_error, perforated_cost, speedup_proxy
-from .planner import MODULO, NO_PERFORATION, PerforationSpec, astar_exact, astar_perforated
+from .planner import NO_PERFORATION, PerforationSpec, astar_exact, astar_perforated
 
 DEFAULT_SEED = 9
 DEFAULT_CASES = 20
@@ -39,16 +39,7 @@ DEFAULT_STUDY_RATES = (Fraction(3, 5), Fraction(3, 4), Fraction(4, 5))
 
 # Two-decimal shorthands map onto the ladder's exact rationals; anything else
 # parses as an exact decimal or k/n fraction.
-RATE_ALIASES = {
-    "0.2": Fraction(1, 5), "0.25": Fraction(1, 4), "0.33": Fraction(1, 3),
-    "0.5": Fraction(1, 2), "0.6": Fraction(3, 5), "0.75": Fraction(3, 4),
-    "0.8": Fraction(4, 5), "0.83": Fraction(5, 6), "0.85": Fraction(17, 20),
-    "0.88": Fraction(22, 25),
-}
-
-# Draws allowed per robot for a valid start/goal pair, and per trial for a
-# collision-free variation, before the collision study gives up.
-_MAX_DRAWS = 1000
+RATE_ALIASES = {f"{float(r):.2f}".rstrip("0"): r for r in DEFAULT_RATE_LADDER}
 
 SWEEP_HEADER = "rate,rate_decimal,mean_speedup_wall,mean_speedup_proxy,pct_len_increase,pct_failed,e_p,max_increase_pct"
 COLLISION_HEADER = "rate,n_trials,pct_collision_trials,mean_speedup_proxy"
@@ -99,6 +90,12 @@ class CollisionRow:
     mean_speedup_proxy: float
 
 
+# Report columns per row type, in CSV order: emission, the table and parsing
+# all read them here. `rate_decimal` is derived, so parsing skips it.
+_COLUMNS = {SweepRow: tuple(SWEEP_HEADER.split(",")), CollisionRow: tuple(COLLISION_HEADER.split(","))}
+_PARSE_COLUMN = {"rate": parse_rate, "n_trials": int}
+
+
 def _median_wall(run, reps: int = 5):
     # Median of `reps` timings damps scheduler jitter; never acceptance-gated.
     # Every rep returns the same result, so the last one is the counted run.
@@ -133,10 +130,8 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
 
     rows = []
     for rate in ladder:
-        spec = PerforationSpec(MODULO, rate.numerator, rate.denominator)
+        spec = PerforationSpec.from_rate(rate)
         records = []
-        wall_ratios = []
-        proxies = []
         for case_id, ((s, g), exact) in enumerate(zip(pairs, exact_runs)):
             approx_wall, out = timed(lambda: astar_perforated(scenario_grid, s, g, spec))
             records.append(CaseRecord(
@@ -149,10 +144,6 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
                 exact_wall_time=exact_walls[case_id],
                 approx_wall_time=approx_wall,
             ))
-            proxies.append(speedup_proxy(
-                exact.expansions, perforated_cost(out.expansions, out.skipped)))
-            if measure_wall:
-                wall_ratios.append(exact_walls[case_id] / max(approx_wall, 1e-9))
         if any(r.approx_len is not None for r in records):
             stats = aggregate_error(records)
         else:
@@ -161,8 +152,10 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
             stats = PathErrorStats(0.0, len(records), 0, len(records), 0.0)
         rows.append(SweepRow(
             rate=rate,
-            mean_speedup_wall=sum(wall_ratios) / len(wall_ratios) if wall_ratios else 0.0,
-            mean_speedup_proxy=sum(proxies) / len(proxies),
+            mean_speedup_wall=sum(r.exact_wall_time / max(r.approx_wall_time, 1e-9)
+                                  for r in records) / len(records) if measure_wall else 0.0,
+            mean_speedup_proxy=sum(speedup_proxy(r.exact_expansions, perforated_cost(
+                r.approx_expansions, r.approx_skipped)) for r in records) / len(records),
             pct_len_increase=100 * stats.n_increased / stats.n_cases,
             pct_failed=100 * stats.n_failed / stats.n_cases,
             e_p=stats.e_p,
@@ -177,17 +170,12 @@ def _resample_tasks(scenario: Scenario, rng: random.Random, labels, free_cells):
     tasks = []
     used_starts, used_goals = set(), set()
     for base in sorted(scenario.tasks, key=lambda t: t.robot_id):
-        for _ in range(_MAX_DRAWS):
-            start = rng.choice(free_cells)
-            goal = rng.choice(free_cells)
-            if (start != goal and labels[start] == labels[goal]
-                    and start not in used_starts and goal not in used_goals):
-                used_starts.add(start)
-                used_goals.add(goal)
-                tasks.append(RobotTask(base.robot_id, start, goal))
-                break
-        else:
+        pair = _draw_pair(rng, free_cells, labels, (used_starts, used_goals))
+        if pair is None:
             return None
+        used_starts.add(pair[0])
+        used_goals.add(pair[1])
+        tasks.append(RobotTask(base.robot_id, *pair))
     return Scenario(scenario.name, scenario.grid, tuple(tasks))
 
 
@@ -234,8 +222,7 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
 
     rows = []
     for rate in study_rates:
-        spec = (PerforationSpec(MODULO, rate.numerator, rate.denominator)
-                if rate else NO_PERFORATION)
+        spec = PerforationSpec.from_rate(rate)
         n_collision = 0
         proxies = []
         for trial_scenario, exact_report in trials:
@@ -272,25 +259,16 @@ def emit_reports(rows, format: str = "csv") -> str:
         raise ValueError("no rows to emit")
     if format not in ("csv", "table"):
         raise ValueError(f"unknown report format {format!r}")
-    if isinstance(rows[0], SweepRow):
-        header = SWEEP_HEADER
-        cells = [[str(r.rate), str(r.rate_decimal), str(r.mean_speedup_wall),
-                  str(r.mean_speedup_proxy), str(r.pct_len_increase),
-                  str(r.pct_failed), str(r.e_p), str(r.max_increase_pct)]
-                 for r in rows]
-    elif isinstance(rows[0], CollisionRow):
-        header = COLLISION_HEADER
-        cells = [[str(r.rate), str(r.n_trials), str(r.pct_collision_trials),
-                  str(r.mean_speedup_proxy)] for r in rows]
-    else:
+    columns = _COLUMNS.get(type(rows[0]))
+    if columns is None:
         raise ValueError(f"cannot emit rows of type {type(rows[0]).__name__}")
+    cells = [[str(getattr(r, col)) for col in columns] for r in rows]
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header.split(","))
+        writer.writerow(columns)
         writer.writerows(cells)
         return buf.getvalue()
-    columns = header.split(",")
     widths = [max(len(col), *(len(row[i]) for row in cells)) for i, col in enumerate(columns)]
     lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip()]
     for row in cells:
@@ -298,41 +276,20 @@ def emit_reports(rows, format: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_report(text: str, row_type, kind: str) -> list:
+    columns = _COLUMNS[row_type]
+    reader = csv.reader(io.StringIO(text))
+    if tuple(next(reader, ())) != columns:
+        raise ValueError(f"not a {kind} CSV: header mismatch")
+    return [row_type(**{col: _PARSE_COLUMN.get(col, float)(val)
+                        for col, val in zip(columns, rec) if col != "rate_decimal"})
+            for rec in reader if rec]
+
+
 def parse_sweep_csv(text: str) -> list:
     """Inverse of emit_reports for sweep CSV; exact for every column."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != SWEEP_HEADER.split(","):
-        raise ValueError("not a sweep CSV: header mismatch")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(SweepRow(
-            rate=parse_rate(rec[0]),
-            mean_speedup_wall=float(rec[2]),
-            mean_speedup_proxy=float(rec[3]),
-            pct_len_increase=float(rec[4]),
-            pct_failed=float(rec[5]),
-            e_p=float(rec[6]),
-            max_increase_pct=float(rec[7]),
-        ))
-    return rows
+    return _parse_report(text, SweepRow, "sweep")
 
 
 def parse_collision_csv(text: str) -> list:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != COLLISION_HEADER.split(","):
-        raise ValueError("not a collision CSV: header mismatch")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(CollisionRow(
-            rate=parse_rate(rec[0]),
-            n_trials=int(rec[1]),
-            pct_collision_trials=float(rec[2]),
-            mean_speedup_proxy=float(rec[3]),
-        ))
-    return rows
+    return _parse_report(text, CollisionRow, "collision")

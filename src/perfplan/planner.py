@@ -176,20 +176,16 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
             return PlanOutcome(FOUND, _reconstruct(came_from, cur), expansions, skipped)
         closed.add(cur)
         ng = g[cur] + 1
+        successors = grid.neighbors(cur)
         if spec is not None and not perforation_schedule(spec, i, extent):
             skipped += 1
-            # Degraded expansion: queue only the most promising successor.
-            nbs = [nb for nb in grid.neighbors(cur) if nb not in closed]
-            if nbs:
-                nb = min(nbs, key=lambda c: (manhattan(c, goal), c.y, c.x))
-                if ng < g.get(nb, 1 << 30):
-                    g[nb] = ng
-                    came_from[nb] = cur
-                    hn = manhattan(nb, goal)
-                    heapq.heappush(open_heap, (ng + hn, hn, nb.y, nb.x))
-            continue
-        expansions += 1
-        for nb in grid.neighbors(cur):
+            # Degraded expansion: queue only the most promising successor
+            # (lowest h; neighbors come row-major, and min keeps the first).
+            successors = [nb for nb in successors if nb not in closed]
+            successors = successors and [min(successors, key=lambda c: manhattan(c, goal))]
+        else:
+            expansions += 1
+        for nb in successors:
             if nb in closed:
                 continue
             if ng < g.get(nb, 1 << 30):
@@ -205,17 +201,16 @@ def astar_exact(grid: GridMap, start: Cell, goal: Cell) -> PlanOutcome:
     return _astar(grid, start, goal, None, None)
 
 
-def astar_perforated(grid: GridMap, start: Cell, goal: Cell, spec: PerforationSpec,
-                     extent_hint: int | None = None) -> PlanOutcome:
+def astar_perforated(grid: GridMap, start: Cell, goal: Cell, spec: PerforationSpec) -> PlanOutcome:
     """A* with the expansion loop gated by the perforation schedule.
 
-    Truncation mode needs a loop extent; when no `extent_hint` is given, the
-    exact run's expansion count for the same query is used (costing one extra
-    exact search, which is not reflected in the returned counters).
+    Rate 0 runs the exact search. Truncation mode needs a loop extent: the
+    exact run's expansion count for the same query, which costs one extra
+    exact search that is not reflected in the returned counters.
     """
-    extent = None
-    if spec.mode == TRUNCATION and spec.skip > 0:
-        extent = extent_hint if extent_hint is not None else astar_exact(grid, start, goal).expansions
+    if spec.skip == 0:
+        return _astar(grid, start, goal, None, None)
+    extent = astar_exact(grid, start, goal).expansions if spec.mode == TRUNCATION else None
     return _astar(grid, start, goal, spec, extent)
 
 

@@ -132,6 +132,13 @@ class TestReportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: trial 1: no collision-free task variation")
 
+    def test_sweep_without_drawable_endpoints_is_one(self, isolated_pair_grid, tmp_path, capsys):
+        path = tmp_path / "sparse.scen"
+        path.write_text(render_scenario(Scenario("sparse", isolated_pair_grid, ())))
+        assert main(["sweep", str(path), "--cases", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pair 0: ") and err.endswith(" in 1000 draws\n")
+
 
 class TestAssign:
     def test_happy_path(self, capsys):

@@ -1,5 +1,7 @@
 """Grid model, scenario file parsing, and seeded endpoint sampling."""
 
+import time
+
 import pytest
 
 from oracles import bfs_distance
@@ -252,6 +254,13 @@ class TestRandomEndpoints:
         grid = builtin_scenario("warehouse").grid
         for start, goal in random_endpoints(grid, 42, 20):
             assert bfs_distance(grid, start, goal) is not None
+
+    def test_gives_up_when_valid_pairs_are_rare(self, isolated_pair_grid):
+        assert len(isolated_pair_grid.free_cells()) == 4490
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^pair 0: .* in 1000 draws$"):
+            random_endpoints(isolated_pair_grid, 0, 1)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_valid_for_many_seeds(self):
         labels = component_labels(SPLIT_5x5)

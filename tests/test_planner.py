@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import bfs_distance
+from perfplan import planner
 from perfplan.gridworld import (
     Cell,
     GridMap,
@@ -22,6 +23,7 @@ from perfplan.planner import (
     TRUNCATION,
     PerforationSpec,
     PlanOutcome,
+    _astar,
     astar_exact,
     astar_perforated,
     manhattan,
@@ -274,13 +276,25 @@ class TestPerforatedAstar:
         assert out.status == NOT_FOUND
         assert out.path == () and out.skipped > 0
 
-    def test_truncation_extent_defaults_to_exact_run(self):
-        spec = PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL)
+    @pytest.mark.parametrize("spec, exact_calls", [
+        (PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL), 1),
+        (PerforationSpec(TRUNCATION, 3, 4, truncate_at=HEAD), 1),
+        (PerforationSpec(TRUNCATION, truncate_at=HEAD), 0),
+        (NO_PERFORATION, 0),
+        (PerforationSpec(MODULO, 1, 2), 0),
+        (PerforationSpec(RANDOM, 1, 2, seed=5), 0),
+    ], ids=["trunc-tail", "trunc-head", "trunc-rate0", "exact", "modulo", "random"])
+    def test_only_truncation_runs_an_exact_search_for_its_extent(self, monkeypatch, spec, exact_calls):
         start, goal = Cell(5, 4), Cell(21, 19)
-        hint = astar_exact(WAREHOUSE, start, goal).expansions
-        assert astar_perforated(WAREHOUSE, start, goal, spec) == astar_perforated(
-            WAREHOUSE, start, goal, spec, extent_hint=hint
-        )
+        extent = astar_exact(WAREHOUSE, start, goal).expansions
+        calls = []
+        monkeypatch.setattr(planner, "astar_exact", lambda *a: calls.append(a) or _astar(*a, None, None))
+        out = astar_perforated(WAREHOUSE, start, goal, spec)
+        assert len(calls) == exact_calls
+        if spec.skip == 0:
+            assert out == _astar(WAREHOUSE, start, goal, None, None)
+        else:
+            assert out == _astar(WAREHOUSE, start, goal, spec, extent if spec.mode == TRUNCATION else None)
 
     def test_truncation_modes_differ(self):
         start, goal = Cell(5, 4), Cell(21, 19)

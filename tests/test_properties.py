@@ -1,4 +1,4 @@
-"""Property tests over random small grids, tasks and cost matrices.
+"""Property tests over random small grids, tasks, timelines and cost matrices.
 
 They back the seeded example tests with generated inputs; the module is
 skipped when hypothesis (the `test` extra) is not installed.
@@ -12,8 +12,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import brute_force_assignment  # noqa: E402
+from oracles import bfs_distance, brute_force_assignment, scan_collisions  # noqa: E402
 from perfplan.assignment import CostMatrix, hungarian  # noqa: E402
+from perfplan.executor import detect_collisions, path_to_timeline  # noqa: E402
 from perfplan.gridworld import (  # noqa: E402
     Cell,
     GridMap,
@@ -23,8 +24,20 @@ from perfplan.gridworld import (  # noqa: E402
     load_scenario,
     render_scenario,
 )
+from perfplan.planner import (  # noqa: E402
+    HEAD,
+    MODES,
+    TAIL,
+    PerforationSpec,
+    astar_exact,
+    astar_perforated,
+    manhattan,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
+# Searches and replays on small grids are cheap; more examples reach the
+# rarer cases (detours around obstacles, head-on swaps).
+SEARCH_SETTINGS = settings(max_examples=200, deadline=None)
 
 
 @st.composite
@@ -103,3 +116,85 @@ def test_hungarian_matches_exact_brute_force(rows):
     want_map, want_total = brute_force_assignment([[Fraction(c) for c in row] for row in rows])
     assert got.mapping == want_map
     assert got.total_cost == pytest.approx(float(want_total))
+
+
+@st.composite
+def grids(draw, max_side=8):
+    """A grid of up to max_side x max_side, at most half of it blocked."""
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    cells = [Cell(x, y) for y in range(height) for x in range(width)]
+    blocked = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 2))
+    return GridMap(width, height, frozenset(blocked))
+
+
+@st.composite
+def grid_queries(draw):
+    """A grid of up to 8x8 with two free cells on it (equal or not, joined or not)."""
+    grid = draw(grids())
+    free = grid.free_cells()
+    return grid, draw(st.sampled_from(free)), draw(st.sampled_from(free))
+
+
+def perforation_specs(skip=st.integers(0, 9)):
+    return st.builds(
+        lambda mode, end, seed, skip, extra: PerforationSpec(mode, skip, skip + extra, end, seed),
+        st.sampled_from(MODES), st.sampled_from([HEAD, TAIL]), st.integers(0, 2**16), skip,
+        st.integers(1, 9))
+
+
+@SEARCH_SETTINGS
+@given(grid_queries())
+def test_exact_astar_length_equals_bfs(query):
+    grid, start, goal = query
+    out = astar_exact(grid, start, goal)
+    assert (out.edges if out.found else None) == bfs_distance(grid, start, goal)
+
+
+@SEARCH_SETTINGS
+@given(grid_queries(), perforation_specs())
+def test_found_perforated_paths_are_lawful(query, spec):
+    grid, start, goal = query
+    out = astar_perforated(grid, start, goal, spec)
+    if out.found:
+        assert out.path[0] == start and out.path[-1] == goal
+        assert all(grid.is_free(cell) for cell in out.path)
+        assert all(manhattan(a, b) == 1 for a, b in zip(out.path, out.path[1:]))
+    else:  # only a search that perforated something may miss a reachable goal
+        assert out.path == ()
+        assert out.skipped > 0 or bfs_distance(grid, start, goal) is None
+
+
+@SEARCH_SETTINGS
+@given(grid_queries(), perforation_specs(skip=st.just(0)))
+def test_rate_zero_is_exact_astar_in_every_mode(query, spec):
+    grid, start, goal = query
+    assert astar_perforated(grid, start, goal, spec) == astar_exact(grid, start, goal)
+
+
+_MOVES = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
+
+
+@st.composite
+def padded_timelines(draw):
+    """2-4 lawful random walks (waits allowed) on one grid of up to 3x3, so
+    that robots meet often, padded to a shared horizon by parking each robot
+    on its last cell."""
+    grid = draw(grids(max_side=3))
+    free = grid.free_cells()
+    paths = {}
+    for robot_id in draw(st.lists(st.integers(0, 99), min_size=2, max_size=4, unique=True)):
+        path = [draw(st.sampled_from(free))]
+        for dx, dy in draw(st.lists(st.sampled_from(_MOVES), min_size=4, max_size=16)):
+            nxt = Cell(path[-1].x + dx, path[-1].y + dy)
+            path.append(nxt if grid.is_free(nxt) else path[-1])
+        paths[robot_id] = path
+    horizon = max(len(path) for path in paths.values()) - 1 + draw(st.integers(0, 3))
+    return [path_to_timeline(rid, path, horizon) for rid, path in paths.items()]
+
+
+@SEARCH_SETTINGS
+@given(padded_timelines())
+def test_detector_matches_exhaustive_scan(timelines):
+    got = [(e.t, e.kind, e.robots, e.cells) for e in detect_collisions(timelines)]
+    assert got == scan_collisions(timelines)
