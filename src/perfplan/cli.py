@@ -80,8 +80,7 @@ def _cmd_plan(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     report = simulate(scenario, _make_spec(args))
-    for rid in sorted(report.outcomes):
-        out = report.outcomes[rid]
+    for rid, out in report.outcomes.items():
         if out.found:
             print(f"robot {rid}: {out.edges} edges, {out.expansions} expansions, "
                   f"{out.skipped} skipped")
@@ -108,7 +107,7 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         lines = ["t,robot_id,x,y"]
         for t in range(report.makespan + 1):
-            for tl in sorted(report.timelines, key=lambda tl: tl.robot_id):
+            for tl in report.timelines:
                 pos = tl.positions[t]
                 lines.append(f"{t},{tl.robot_id},{pos.x},{pos.y}")
         text = "\n".join(lines) + "\n"
@@ -149,13 +148,12 @@ def _cmd_assign(args) -> int:
                       for tok in args.tasks.split(";") if tok.strip()]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"cannot parse --tasks {args.tasks!r}: expected 'x,y;x,y;...'") from exc
-    robots = sorted(scenario.tasks, key=lambda t: t.robot_id)
-    if len(task_cells) != len(robots):
-        raise ValueError(f"{len(robots)} robots but {len(task_cells)} tasks")
-    matrix = build_cost_matrix(scenario.grid, [t.start for t in robots], task_cells)
+    if len(task_cells) != len(scenario.tasks):
+        raise ValueError(f"{len(scenario.tasks)} robots but {len(task_cells)} tasks")
+    matrix = build_cost_matrix(scenario.grid, [t.start for t in scenario.tasks], task_cells)
     result = hungarian(matrix)
     print("robot_id,task_index,cost")
-    for i, robot in enumerate(robots):
+    for i, robot in enumerate(scenario.tasks):
         j = result.mapping[i]
         print(f"{robot.robot_id},{j},{matrix.costs[i][j]}")
     return 0
@@ -165,6 +163,14 @@ def _add_spec_flags(sub):
     sub.add_argument("--rate", default="0", help="perforation rate: k/n or decimal (default 0)")
     sub.add_argument("--mode", choices=sorted(_MODE_NAMES), default="modulo")
     sub.add_argument("--seed", type=int, default=0, help="seed for random-mode schedules")
+
+
+def _add_report_flags(sub, default_rates: str):
+    sub.add_argument("scenario")
+    sub.add_argument("--rates", help=f"comma-separated rates (default: {default_rates})")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--out", help="write the report here instead of stdout")
+    sub.add_argument("--format", choices=("csv", "table"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,21 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("sweep", help="rate-ladder benchmark on one grid")
-    p.add_argument("scenario")
-    p.add_argument("--rates", help="comma-separated rates (default: the ten-rate ladder)")
+    _add_report_flags(p, "the ten-rate ladder")
     p.add_argument("--cases", type=int, default=DEFAULT_CASES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("csv", "table"), default="csv")
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("collisions", help="collision study over seeded task variations")
-    p.add_argument("scenario")
-    p.add_argument("--rates", help="comma-separated rates (default: 3/5,3/4,4/5)")
+    _add_report_flags(p, "3/5,3/4,4/5")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "table"), default="csv")
     p.set_defaults(func=_cmd_collisions)
 
     p = subs.add_parser("assign", help="Hungarian robot-to-task assignment")

@@ -102,12 +102,17 @@ def simulate(scenario: Scenario, spec: PerforationSpec = NO_PERFORATION) -> Simu
 
     A robot whose plan fails is recorded in failed_robots and excluded from
     collision analysis; the other robots are still replayed, so a planning
-    failure is never mislabelled as a collision.
+    failure is never mislabelled as a collision. A found path through a
+    blocked cell raises RuntimeError; Timeline checks that its steps are adjacent.
     """
     outcomes: dict[int, PlanOutcome] = {}
-    for task in sorted(scenario.tasks, key=lambda t: t.robot_id):
+    for task in scenario.tasks:
         outcomes[task.robot_id] = plan_multi_leg(scenario.grid, task, spec)
     found = {rid: out for rid, out in outcomes.items() if out.found}
+    for rid, out in found.items():
+        for cell in out.path:
+            if not scenario.grid.is_free(cell):
+                raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
     failed = tuple(rid for rid, out in outcomes.items() if not out.found)
     horizon = max((out.edges for out in found.values()), default=0)
     timelines = tuple(path_to_timeline(rid, out.path, horizon) for rid, out in found.items())

@@ -125,12 +125,15 @@ def _check_task(grid: GridMap, task: RobotTask, seen_ids: set) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A grid and its robot tasks, held (and so planned and reported) in robot-id order."""
+
     name: str
     grid: GridMap
     tasks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "tasks", tuple(self.tasks))
+        # Stable, so of two tasks sharing an id the later one is flagged.
+        object.__setattr__(self, "tasks", tuple(sorted(self.tasks, key=lambda t: t.robot_id)))
         seen = set()
         for task in self.tasks:
             _check_task(self.grid, task, seen)

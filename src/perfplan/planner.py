@@ -14,7 +14,7 @@ the search may legally fail.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .gridworld import Cell, GridMap, RobotTask
@@ -76,12 +76,11 @@ class PerforationSpec:
         return Fraction(self.skip, self.window)
 
     @classmethod
-    def from_rate(cls, rate, mode: str = MODULO, truncate_at: str = TAIL,
-                  seed: int = 0) -> "PerforationSpec":
+    def from_rate(cls, rate, mode: str = MODULO, seed: int = 0) -> "PerforationSpec":
         frac = Fraction(rate)
         if not 0 <= frac < 1:
             raise ValueError(f"rate must be in [0, 1), got {frac}")
-        return cls(mode, frac.numerator, frac.denominator, truncate_at, seed)
+        return cls(mode, frac.numerator, frac.denominator, seed=seed)
 
 
 NO_PERFORATION = PerforationSpec()
@@ -116,8 +115,9 @@ class PlanOutcome:
     """Result of one search: status, path, and main-loop work counters.
 
     `expansions` counts executed main-loop iterations (including the final
-    goal pop); `skipped` counts perforated ones. `failed_leg` is set when a
-    multi-leg plan fails, to the 0-based index of the failing leg.
+    goal pop, and in truncation mode the exact search that sized the loop);
+    `skipped` counts perforated ones. `failed_leg` is set when a multi-leg
+    plan fails, to the 0-based index of the failing leg.
     """
 
     status: str
@@ -162,22 +162,20 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     closed = set()
     expansions = 0
     skipped = 0
-    index = 0
 
     while open_heap:
         _, _, y, x = heapq.heappop(open_heap)
         cur = Cell(x, y)
         if cur in closed:
             continue  # stale heap entry, not a main-loop iteration
-        i = index
-        index += 1
         if cur == goal:
             expansions += 1
             return PlanOutcome(FOUND, _reconstruct(came_from, cur), expansions, skipped)
         closed.add(cur)
         ng = g[cur] + 1
         successors = grid.neighbors(cur)
-        if spec is not None and not perforation_schedule(spec, i, extent):
+        # This iteration's index: every earlier one was counted once.
+        if spec is not None and not perforation_schedule(spec, expansions + skipped, extent):
             skipped += 1
             # Degraded expansion: queue only the most promising successor
             # (lowest h; neighbors come row-major, and min keeps the first).
@@ -205,13 +203,16 @@ def astar_perforated(grid: GridMap, start: Cell, goal: Cell, spec: PerforationSp
     """A* with the expansion loop gated by the perforation schedule.
 
     Rate 0 runs the exact search. Truncation mode needs a loop extent: the
-    exact run's expansion count for the same query, which costs one extra
-    exact search that is not reflected in the returned counters.
+    exact run's expansion count for the same query. That exact search is
+    work this mode does, so its expansions are added to the returned ones.
     """
     if spec.skip == 0:
         return _astar(grid, start, goal, None, None)
-    extent = astar_exact(grid, start, goal).expansions if spec.mode == TRUNCATION else None
-    return _astar(grid, start, goal, spec, extent)
+    if spec.mode != TRUNCATION:
+        return _astar(grid, start, goal, spec, None)
+    extent = astar_exact(grid, start, goal).expansions
+    out = _astar(grid, start, goal, spec, extent)
+    return replace(out, expansions=out.expansions + extent)
 
 
 def plan_multi_leg(grid: GridMap, task: RobotTask,

@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import collision_fixtures, scan_collisions
+from perfplan import executor
 from perfplan.executor import (
     EDGE,
     VERTEX,
@@ -13,7 +14,7 @@ from perfplan.executor import (
     simulate,
 )
 from perfplan.gridworld import Cell, Scenario, builtin_scenario, GridMap, RobotTask
-from perfplan.planner import MODULO, PerforationSpec, astar_exact
+from perfplan.planner import FOUND, MODULO, PerforationSpec, PlanOutcome, astar_exact
 
 
 def as_tuples(events):
@@ -167,6 +168,14 @@ class TestSimulate:
         assert not report.safe
         assert [tl.robot_id for tl in report.timelines] == [2]
         assert report.collisions == ()
+
+    def test_found_path_through_blocked_cell_is_rejected(self, monkeypatch):
+        grid = GridMap(width=3, height=2, blocked=frozenset({Cell(1, 0)}))
+        scenario = Scenario("wall", grid, (RobotTask(1, Cell(0, 0), Cell(2, 0)),))
+        through_wall = PlanOutcome(FOUND, (Cell(0, 0), Cell(1, 0), Cell(2, 0)), 3, 0)
+        monkeypatch.setattr(executor, "plan_multi_leg", lambda *a: through_wall)
+        with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell Cell\(x=1, y=0\)"):
+            simulate(scenario)
 
     def test_single_robot_never_collides(self):
         grid = GridMap(width=4, height=1, blocked=frozenset())

@@ -111,6 +111,15 @@ class TestScenarioValidation:
         # Out-and-back via a waypoint is a legitimate patrol task.
         Scenario("x", OPEN_5x5, (RobotTask(1, Cell(0, 0), Cell(0, 0), waypoints=(Cell(3, 3),)),))
 
+    def test_tasks_are_held_in_robot_id_order(self):
+        tasks = [RobotTask(rid, Cell(rid, 0), Cell(rid, 4)) for rid in (3, 1, 2)]
+        scenario = Scenario("x", OPEN_5x5, tasks)
+        assert [t.robot_id for t in scenario.tasks] == [1, 2, 3]
+        assert scenario == Scenario("x", OPEN_5x5, sorted(tasks, key=lambda t: t.robot_id))
+        text = render_scenario(scenario)
+        assert [line.split()[1] for line in text.splitlines() if line.startswith("robot")] == ["1", "2", "3"]
+        assert load_scenario(text, name="x") == scenario
+
     def test_task_for(self):
         task = RobotTask(7, Cell(0, 0), Cell(1, 1))
         scenario = Scenario("x", OPEN_5x5, (task,))

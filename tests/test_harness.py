@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import perfplan.executor as executor_module
 import perfplan.harness as harness_module
 from perfplan.gridworld import Cell, GridMap, RobotTask, Scenario, builtin_scenario
 from perfplan.harness import (
@@ -23,6 +24,7 @@ from perfplan.harness import (
     parse_sweep_csv,
     sweep,
 )
+from perfplan.planner import FOUND, PlanOutcome
 
 WAREHOUSE = builtin_scenario("warehouse")
 
@@ -172,6 +174,25 @@ class TestCollisionStudy:
         )
         with pytest.raises(ValueError, match="collide"):
             collision_study(head_on, rates=[Fraction(0)], n_trials=1)
+
+    def test_exact_baseline_paths_are_checked_too(self, monkeypatch):
+        # Only the exact plan of robot 1 crosses the blocked cell (2,1); the
+        # perforated replays are lawful, so only a check of the exact
+        # baseline replay catches it.
+        grid = GridMap(width=5, height=3, blocked=frozenset({Cell(2, 1)}))
+        scenario = Scenario("rows", grid, (
+            RobotTask(1, Cell(0, 0), Cell(4, 0)), RobotTask(2, Cell(0, 2), Cell(4, 2))))
+        detour = (Cell(0, 0), Cell(1, 0), Cell(1, 1), Cell(2, 1), Cell(3, 1), Cell(3, 0), Cell(4, 0))
+        real_plan = executor_module.plan_multi_leg
+
+        def plan(grid, task, spec):
+            if spec.skip == 0 and task.robot_id == 1:
+                return PlanOutcome(FOUND, detour, 7, 0)
+            return real_plan(grid, task, spec)
+
+        monkeypatch.setattr(executor_module, "plan_multi_leg", plan)
+        with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell"):
+            collision_study(scenario, rates=[Fraction(1, 2)], n_trials=1)
 
     def test_gives_up_when_no_variation_is_collision_free(self):
         # Two robots on a 2-cell corridor: every re-drawn trial swaps them
