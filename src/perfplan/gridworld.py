@@ -17,7 +17,6 @@ outside the map block are ignored.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple
@@ -46,7 +45,14 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class GridMap:
-    """Rectangular occupancy grid: `blocked` holds the obstacle cells."""
+    """Rectangular occupancy grid: `blocked` holds the obstacle cells.
+
+    `_mask` (not a field, so equality, hashing and repr ignore it) is the
+    occupancy that the cell queries, the component flood and the search read:
+    `bytes` over the grid padded by a one-cell border, with cell (x, y) at
+    `(y + 1) * (width + 2) + x + 1`, 1 where the cell is free and 0 where it
+    is blocked or on the border.
+    """
 
     width: int
     height: int
@@ -62,27 +68,39 @@ class GridMap:
                 raise ValueError(f"blocked cell {cell} out of range for {self.width}x{self.height} grid")
         if len(cells) >= self.width * self.height:
             raise ValueError("grid has no free cell")
+        w = self.width + 2
+        mask = bytearray(w * (self.height + 2))
+        for y in range(1, self.height + 1):
+            mask[y * w + 1:y * w + w - 1] = b"\x01" * self.width
+        for x, y in cells:
+            mask[(y + 1) * w + x + 1] = 0
+        object.__setattr__(self, "_mask", bytes(mask))
 
     def in_bounds(self, cell: Cell) -> bool:
-        return 0 <= cell.x < self.width and 0 <= cell.y < self.height
+        x, y = cell
+        return isinstance(x, int) and isinstance(y, int) and 0 <= x < self.width and 0 <= y < self.height
 
     def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.blocked
+        x, y = cell
+        return self.in_bounds(cell) and self._mask[(y + 1) * (self.width + 2) + x + 1] == 1
 
     def neighbors(self, cell: Cell) -> list[Cell]:
-        """Free in-bounds 4-neighbors, in row-major order."""
+        """Free 4-neighbors of an in-bounds cell, in row-major order."""
+        if not self.in_bounds(cell):
+            raise ValueError(f"cell {cell} out of range for {self.width}x{self.height} grid")
         x, y = cell
-        out = []
-        for nx, ny in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-            nb = Cell(nx, ny)
-            if self.is_free(nb):
-                out.append(nb)
-        return out
+        w = self.width + 2
+        i = (y + 1) * w + x + 1
+        mask = self._mask
+        return [Cell(nx, ny) for k, nx, ny in ((i - w, x, y - 1), (i - 1, x - 1, y), (i + 1, x + 1, y),
+                                               (i + w, x, y + 1)) if mask[k]]
 
     def free_cells(self) -> list[Cell]:
         """All free cells in row-major order."""
-        return [Cell(x, y) for y in range(self.height) for x in range(self.width)
-                if Cell(x, y) not in self.blocked]
+        w = self.width + 2
+        mask = self._mask
+        return [Cell(x, y) for y in range(self.height)
+                for x, free in enumerate(mask[(y + 1) * w + 1:(y + 2) * w - 1]) if free]
 
 
 @dataclass(frozen=True)
@@ -117,7 +135,7 @@ def _check_task(grid: GridMap, task: RobotTask, seen_ids: set) -> None:
             ("waypoint", w) for w in task.waypoints]:
         if not grid.in_bounds(cell):
             raise ValueError(f"robot {rid} {label} {cell.x},{cell.y} is out of range")
-        if cell in grid.blocked:
+        if not grid.is_free(cell):
             raise ValueError(f"robot {rid} {label} on blocked cell {cell.x},{cell.y}")
     if task.start == task.goal and not task.waypoints:
         raise ValueError(f"robot {rid} start equals goal without waypoints")
@@ -276,21 +294,30 @@ def builtin_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def component_labels(grid: GridMap) -> dict:
-    """Label each free cell with its 4-connected component id (BFS flood fill)."""
+    """Label each free cell with its 4-connected component id.
+
+    A BFS flood over the occupancy mask: components are numbered from the
+    first free cell in row-major order, neighbors are visited row-major, and
+    cells enter the dict in discovery order.
+    """
+    w = grid.width + 2
+    unseen = bytearray(grid._mask)
     labels: dict[Cell, int] = {}
-    next_label = 0
-    for cell in grid.free_cells():
-        if cell in labels:
-            continue
-        labels[cell] = next_label
-        queue = deque([cell])
-        while queue:
-            cur = queue.popleft()
-            for nb in grid.neighbors(cur):
-                if nb not in labels:
-                    labels[nb] = next_label
+    label = 0
+    first = unseen.find(1)
+    while first >= 0:
+        unseen[first] = 0
+        queue = [first]
+        for i in queue:  # grows while it is walked: breadth-first order
+            for nb in (i - w, i - 1, i + 1, i + w):
+                if unseen[nb]:
+                    unseen[nb] = 0
                     queue.append(nb)
-        next_label += 1
+        for i in queue:
+            y, x = divmod(i, w)
+            labels[Cell(x - 1, y - 1)] = label
+        label += 1
+        first = unseen.find(1, first)
     return labels
 
 

@@ -138,15 +138,6 @@ class PlanOutcome:
         return len(self.path) - 1
 
 
-def _reconstruct(came_from: dict, cur: Cell) -> tuple:
-    path = [cur]
-    while cur in came_from:
-        cur = came_from[cur]
-        path.append(cur)
-    path.reverse()
-    return tuple(path)
-
-
 def _astar(grid: GridMap, start: Cell, goal: Cell,
            spec: PerforationSpec | None, extent: int | None) -> PlanOutcome:
     start, goal = Cell(*start), Cell(*goal)
@@ -154,43 +145,65 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
         if not grid.is_free(cell):
             raise ValueError(f"{label} {cell} is blocked or out of range")
 
+    # Cells are indices into the grid's padded occupancy mask; the border
+    # is 0, so a neighbor index never needs a bounds check. Closing a cell
+    # zeroes its byte: one lookup tests "free and not closed".
+    w = grid.width + 2
+    open_ = bytearray(grid._mask)
+    n = len(open_)
+    hm = grid.width + grid.height  # exceeds every h
+    gx, gy = goal.x + 1, goal.y + 1
+    src, dst = (start.y + 1) * w + start.x + 1, gy * w + gx
+    # One int heap key (f*hm + h)*n + cell orders like (f, h, y, x): ties
+    # broken by lower h, then row-major cell.
     h0 = manhattan(start, goal)
-    # Heap keys: (f, h, y, x) -- ties broken by lower h, then row-major cell.
-    open_heap = [(h0, h0, start.y, start.x)]
-    g = {start: 0}
+    open_heap = [(h0 * hm + h0) * n + src]
+    g = {src: 0}
     came_from: dict = {}
-    closed = set()
     expansions = 0
     skipped = 0
+    pop, push = heapq.heappop, heapq.heappush
 
     while open_heap:
-        _, _, y, x = heapq.heappop(open_heap)
-        cur = Cell(x, y)
-        if cur in closed:
+        cur = pop(open_heap) % n
+        if not open_[cur]:
             continue  # stale heap entry, not a main-loop iteration
-        if cur == goal:
+        if cur == dst:
             expansions += 1
-            return PlanOutcome(FOUND, _reconstruct(came_from, cur), expansions, skipped)
-        closed.add(cur)
+            path = [cur]
+            while cur in came_from:
+                cur = came_from[cur]
+                path.append(cur)
+            # Built from a list, not a generator: tuple() over a generator
+            # grows the tuple by reallocation, and in a loop that keeps a few
+            # small objects per search that doubled how fast peak RSS grew.
+            cells = tuple([Cell(i % w - 1, i // w - 1) for i in reversed(path)])
+            return PlanOutcome(FOUND, cells, expansions, skipped)
+        open_[cur] = 0
         ng = g[cur] + 1
-        successors = grid.neighbors(cur)
+        successors = (cur - w, cur - 1, cur + 1, cur + w)  # row-major
         # This iteration's index: every earlier one was counted once.
         if spec is not None and not perforation_schedule(spec, expansions + skipped, extent):
             skipped += 1
-            # Degraded expansion: queue only the most promising successor
-            # (lowest h; neighbors come row-major, and min keeps the first).
-            successors = [nb for nb in successors if nb not in closed]
-            successors = successors and [min(successors, key=lambda c: manhattan(c, goal))]
+            # Degraded expansion: queue only the most promising successor,
+            # the first open neighbor with the lowest h.
+            best, best_h = (), hm
+            for nb in successors:
+                if open_[nb]:
+                    y, x = divmod(nb, w)
+                    hn = abs(x - gx) + abs(y - gy)
+                    if hn < best_h:
+                        best, best_h = (nb,), hn
+            successors = best
         else:
             expansions += 1
         for nb in successors:
-            if nb in closed:
-                continue
-            if ng < g.get(nb, 1 << 30):
+            if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
                 g[nb] = ng
                 came_from[nb] = cur
-                hn = manhattan(nb, goal)
-                heapq.heappush(open_heap, (ng + hn, hn, nb.y, nb.x))
+                y, x = divmod(nb, w)
+                hn = abs(x - gx) + abs(y - gy)
+                push(open_heap, ((ng + hn) * hm + hn) * n + nb)
     return PlanOutcome(NOT_FOUND, (), expansions, skipped)
 
 

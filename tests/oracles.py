@@ -4,13 +4,17 @@ Everything here is deliberately naive: breadth-first search for shortest
 distances, full permutation enumeration for assignments, and a literal
 per-tick scan for collisions.  The production code must agree with these
 on every fixture; the oracles themselves are kept simple enough to audit
-by eye.
+by eye.  `reference_astar` is A* on `Cell`s, a closed set and tuple heap
+keys; the flat-array kernel `planner._astar` must reproduce it exactly,
+counters included.
 """
 
+import heapq
 from collections import deque
 from itertools import permutations
 
 from perfplan.gridworld import Cell
+from perfplan.planner import FOUND, NOT_FOUND, PlanOutcome, manhattan, perforation_schedule
 
 
 def bfs_distance(grid, start, goal):
@@ -29,6 +33,79 @@ def bfs_distance(grid, start, goal):
             seen.add(nb)
             frontier.append((nb, d + 1))
     return None
+
+
+def flood_labels(grid):
+    """Component labels by BFS from each unlabelled free cell in row-major
+    order, over `grid.neighbors`; cells enter the dict as they are found."""
+    labels = {}
+    for cell in grid.free_cells():
+        if cell in labels:
+            continue
+        labels[cell] = label = len(set(labels.values()))
+        queue = deque([cell])
+        while queue:
+            for nb in grid.neighbors(queue.popleft()):
+                if nb not in labels:
+                    labels[nb] = label
+                    queue.append(nb)
+    return labels
+
+
+def _reconstruct(came_from, cur):
+    path = [cur]
+    while cur in came_from:
+        cur = came_from[cur]
+        path.append(cur)
+    path.reverse()
+    return tuple(path)
+
+
+def reference_astar(grid, start, goal, spec, extent):
+    """Same contract as `planner._astar`: status, path and counters."""
+    start, goal = Cell(*start), Cell(*goal)
+    for label, cell in (("start", start), ("goal", goal)):
+        if not grid.is_free(cell):
+            raise ValueError(f"{label} {cell} is blocked or out of range")
+
+    h0 = manhattan(start, goal)
+    # Heap keys: (f, h, y, x) -- ties broken by lower h, then row-major cell.
+    open_heap = [(h0, h0, start.y, start.x)]
+    g = {start: 0}
+    came_from = {}
+    closed = set()
+    expansions = 0
+    skipped = 0
+
+    while open_heap:
+        _, _, y, x = heapq.heappop(open_heap)
+        cur = Cell(x, y)
+        if cur in closed:
+            continue  # stale heap entry, not a main-loop iteration
+        if cur == goal:
+            expansions += 1
+            return PlanOutcome(FOUND, _reconstruct(came_from, cur), expansions, skipped)
+        closed.add(cur)
+        ng = g[cur] + 1
+        successors = grid.neighbors(cur)
+        # This iteration's index: every earlier one was counted once.
+        if spec is not None and not perforation_schedule(spec, expansions + skipped, extent):
+            skipped += 1
+            # Degraded expansion: queue only the most promising successor
+            # (lowest h; neighbors come row-major, and min keeps the first).
+            successors = [nb for nb in successors if nb not in closed]
+            successors = successors and [min(successors, key=lambda c: manhattan(c, goal))]
+        else:
+            expansions += 1
+        for nb in successors:
+            if nb in closed:
+                continue
+            if ng < g.get(nb, 1 << 30):
+                g[nb] = ng
+                came_from[nb] = cur
+                hn = manhattan(nb, goal)
+                heapq.heappush(open_heap, (ng + hn, hn, nb.y, nb.x))
+    return PlanOutcome(NOT_FOUND, (), expansions, skipped)
 
 
 def brute_force_assignment(costs):

@@ -74,6 +74,10 @@ class TestBuildCostMatrix:
         with pytest.raises(ValueError):
             build_cost_matrix(SPLIT_5x5, [Cell(2, 0)], [Cell(0, 0)])
 
+    def test_rejects_non_integer_cells(self):
+        with pytest.raises(ValueError, match="out of range"):
+            build_cost_matrix(OPEN_5x5, [Cell(0.5, 0)], [Cell(4, 4)])
+
     def test_matches_bfs_oracle_on_warehouse(self):
         robots = [Cell(5, 4), Cell(2, 7), Cell(21, 3)]
         tasks = [Cell(21, 19), Cell(14, 19), Cell(1, 16)]

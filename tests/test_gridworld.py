@@ -1,10 +1,11 @@
 """Grid model, scenario file parsing, and seeded endpoint sampling."""
 
+import random
 import time
 
 import pytest
 
-from oracles import bfs_distance
+from oracles import bfs_distance, flood_labels
 from perfplan.gridworld import (
     BUILTIN_NAMES,
     Cell,
@@ -52,6 +53,25 @@ class TestGridMap:
         assert not grid.is_free(Cell(1, 0))
         assert not grid.is_free(Cell(-1, 0))
 
+    def test_rejects_non_integer_coordinates(self):
+        # Such a cell is not on the grid: it is out of range, not free, and
+        # no obstacle or task may sit on it.
+        grid = GridMap(width=3, height=3, blocked=frozenset())
+        assert not grid.in_bounds(Cell(0.5, 0))
+        assert not grid.in_bounds(Cell(1, 1.0))
+        assert not grid.is_free(Cell(0.5, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            GridMap(width=3, height=3, blocked=frozenset({(1.0, 1)}))
+        with pytest.raises(ValueError, match="out of range"):
+            Scenario("s", grid, (RobotTask(1, Cell(0.5, 0), Cell(2, 2)),))
+
+    def test_mask_is_not_a_field(self):
+        a = GridMap(width=3, height=2, blocked=frozenset({Cell(1, 0)}))
+        b = GridMap(width=3, height=2, blocked=frozenset({(1, 0)}))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "GridMap(width=3, height=2, blocked=frozenset({Cell(x=1, y=0)}))"
+        assert a._mask == bytes([0] * 5 + [0, 1, 0, 1, 0] + [0, 1, 1, 1, 0] + [0] * 5)
+
     def test_neighbors_row_major_order(self):
         assert OPEN_5x5.neighbors(Cell(2, 2)) == [
             Cell(2, 1),
@@ -63,6 +83,11 @@ class TestGridMap:
     def test_neighbors_clip_bounds_and_obstacles(self):
         grid = GridMap(width=3, height=3, blocked=frozenset({Cell(1, 0)}))
         assert grid.neighbors(Cell(0, 0)) == [Cell(0, 1)]
+        assert grid.neighbors(Cell(2, 2)) == [Cell(2, 1), Cell(1, 2)]
+
+    def test_neighbors_of_a_cell_off_the_grid_is_an_error(self):
+        with pytest.raises(ValueError, match="out of range"):
+            OPEN_5x5.neighbors(Cell(5, 0))
 
     def test_free_cells_row_major(self):
         grid = GridMap(width=3, height=2, blocked=frozenset({Cell(1, 0)}))
@@ -233,6 +258,14 @@ class TestComponents:
         assert labels[Cell(0, 0)] != labels[Cell(4, 0)]
         assert labels[Cell(0, 0)] == labels[Cell(1, 4)]
         assert len(set(labels.values())) == 2
+
+    @pytest.mark.parametrize("pct", [10, 35, 50, 70])
+    def test_labels_and_their_order_match_a_plain_flood(self, pct):
+        # Label numbers and insertion order both feed the seeded endpoint draw.
+        rng = random.Random(pct)
+        grid = GridMap(30, 20, frozenset(
+            (x, y) for y in range(20) for x in range(30) if rng.random() * 100 < pct))
+        assert list(component_labels(grid).items()) == list(flood_labels(grid).items())
 
 
 class TestRandomEndpoints:

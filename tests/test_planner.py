@@ -1,11 +1,12 @@
 """Perforation schedules and the exact/perforated A* search core."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracles import bfs_distance
+from oracles import bfs_distance, reference_astar
 from perfplan import planner
 from perfplan.gridworld import (
     Cell,
@@ -156,6 +157,14 @@ class TestExactAstar:
             astar_exact(grid, Cell(1, 1), Cell(0, 0))
         with pytest.raises(ValueError, match="goal"):
             astar_exact(grid, Cell(0, 0), Cell(5, 5))
+
+    def test_rejects_non_integer_endpoints(self):
+        # A half-integer cell is not on the grid: it is rejected, not searched
+        # from (a search from it would walk a lattice of phantom cells).
+        with pytest.raises(ValueError, match="start"):
+            astar_exact(WAREHOUSE, (0.5, 0), (5, 0))
+        with pytest.raises(ValueError, match="goal"):
+            astar_perforated(WAREHOUSE, (5, 0), (5.0, 3), PerforationSpec(MODULO, 1, 2))
 
     def test_unreachable_goal(self):
         out = astar_exact(SPLIT_5x5, Cell(0, 0), Cell(4, 0))
@@ -310,6 +319,34 @@ class TestPerforatedAstar:
             WAREHOUSE, start, goal, PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL)
         )
         assert (head.expansions, head.skipped) != (tail.expansions, tail.skipped)
+
+
+_RNG = random.Random(40)
+REFERENCE_GRIDS = {
+    "warehouse": WAREHOUSE,
+    "room": builtin_scenario("room").grid,
+    "random40": GridMap(40, 40, frozenset(
+        (x, y) for y in range(40) for x in range(40) if _RNG.random() < 0.35)),
+}
+REFERENCE_RATES = [Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(3, 4), Fraction(22, 25)]
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("name", REFERENCE_GRIDS)
+    def test_every_search_equals_the_reference(self, name):
+        # Status, path, expansions and skipped, in every mode at every
+        # ladder rate, truncation from both ends.
+        grid = REFERENCE_GRIDS[name]
+        specs = [PerforationSpec(mode, rate.numerator, rate.denominator, end, seed=7)
+                 for mode, end in ((MODULO, TAIL), (RANDOM, TAIL), (TRUNCATION, HEAD), (TRUNCATION, TAIL))
+                 for rate in REFERENCE_RATES]
+        for start, goal in random_endpoints(grid, 2, 40):
+            exact = reference_astar(grid, start, goal, None, None)
+            assert _astar(grid, start, goal, None, None) == exact
+            for spec in specs:
+                extent = exact.expansions if spec.mode == TRUNCATION else None
+                assert (_astar(grid, start, goal, spec, extent)
+                        == reference_astar(grid, start, goal, spec, extent)), (start, goal, spec)
 
 
 class TestMultiLeg:

@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import bfs_distance, brute_force_assignment, scan_collisions  # noqa: E402
+from oracles import bfs_distance, brute_force_assignment, reference_astar, scan_collisions  # noqa: E402
 from perfplan.assignment import CostMatrix, hungarian  # noqa: E402
 from perfplan.executor import detect_collisions, path_to_timeline  # noqa: E402
 from perfplan.gridworld import (  # noqa: E402
@@ -28,7 +28,9 @@ from perfplan.planner import (  # noqa: E402
     HEAD,
     MODES,
     TAIL,
+    TRUNCATION,
     PerforationSpec,
+    _astar,
     astar_exact,
     astar_perforated,
     manhattan,
@@ -170,6 +172,14 @@ def test_found_perforated_paths_are_lawful(query, spec):
 def test_rate_zero_is_exact_astar_in_every_mode(query, spec):
     grid, start, goal = query
     assert astar_perforated(grid, start, goal, spec) == astar_exact(grid, start, goal)
+
+
+@SEARCH_SETTINGS
+@given(grid_queries(), perforation_specs())
+def test_kernel_matches_reference_search(query, spec):
+    grid, start, goal = query
+    extent = reference_astar(grid, start, goal, None, None).expansions if spec.mode == TRUNCATION else None
+    assert _astar(grid, start, goal, spec, extent) == reference_astar(grid, start, goal, spec, extent)
 
 
 _MOVES = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
