@@ -1,10 +1,13 @@
 """Timeline replay, collision detection, and whole-scenario simulation."""
 
+import random
+
 import pytest
 
-from oracles import collision_fixtures, scan_collisions
+from oracles import collision_fixtures, random_walk_timeline, scan_collisions
 from perfplan import executor
 from perfplan.executor import (
+    _PER_TICK_ROBOTS,
     EDGE,
     VERTEX,
     CollisionEvent,
@@ -128,6 +131,62 @@ class TestDetectCollisions:
             assert got == want
             kinds_seen.update(kind for _, kind, _, _ in got)
         assert kinds_seen == {VERTEX, EDGE}
+
+    # Groups of more than _PER_TICK_ROBOTS take the per-tick scan; `parked`
+    # fills a group up to that size with robots standing still far away.
+    @staticmethod
+    def parked(count, horizon):
+        return [path_to_timeline(100 + k, [Cell(2 * k, 50)], horizon) for k in range(count)]
+
+    def test_three_robots_on_one_cell_give_three_pairs_per_tick(self):
+        group = [
+            Timeline(1, (Cell(0, 0), Cell(1, 0), Cell(2, 0), Cell(2, 0))),
+            Timeline(2, (Cell(4, 0), Cell(3, 0), Cell(2, 0), Cell(2, 0))),
+            Timeline(3, (Cell(2, 2), Cell(2, 1), Cell(2, 0), Cell(2, 0))),
+        ]
+        group += self.parked(_PER_TICK_ROBOTS, 3)
+        events = detect_collisions(group)
+        want = [(t, VERTEX, pair, (Cell(2, 0),)) for t in (2, 3) for pair in ((1, 2), (1, 3), (2, 3))]
+        assert as_tuples(events) == want == scan_collisions(group)
+
+    def test_every_robot_making_one_move_swaps_with_its_reverse(self):
+        # Robots 1 and 3 both step (0,0)->(1,0) while robot 2 steps back:
+        # two edge events, each cell pair led by the lower id's pre-swap cell.
+        group = [
+            Timeline(1, (Cell(0, 0), Cell(1, 0))),
+            Timeline(2, (Cell(1, 0), Cell(0, 0))),
+            Timeline(3, (Cell(0, 0), Cell(1, 0))),
+        ]
+        group += self.parked(_PER_TICK_ROBOTS, 1)
+        events = detect_collisions(group)
+        assert as_tuples(events) == [
+            (0, VERTEX, (1, 3), (Cell(0, 0),)),
+            (1, EDGE, (1, 2), (Cell(0, 0), Cell(1, 0))),
+            (1, VERTEX, (1, 3), (Cell(1, 0),)),
+            (1, EDGE, (2, 3), (Cell(1, 0), Cell(0, 0))),
+        ]
+        assert as_tuples(events) == scan_collisions(group)
+
+    def test_crossing_the_threshold_leaves_events_unchanged(self, monkeypatch):
+        rng = random.Random(7)
+        grid = GridMap(width=3, height=3, blocked=frozenset())
+        group = [random_walk_timeline(grid, rng, rid, 12) for rid in range(1, _PER_TICK_ROBOTS + 1)]
+        scans = []
+
+        def spy(name):
+            scan = getattr(executor, name)
+
+            def counted(tls):
+                scans.append(name)
+                return scan(tls)
+            return counted
+
+        for name in ("_pair_scan", "_per_tick_scan"):
+            monkeypatch.setattr(executor, name, spy(name))
+        events = detect_collisions(group)
+        assert {e.kind for e in events} == {VERTEX, EDGE}
+        assert detect_collisions(group + self.parked(1, 12)) == events
+        assert scans == ["_pair_scan", "_per_tick_scan"]
 
 
 class TestSimulate:

@@ -153,6 +153,34 @@ def test_exact_astar_length_equals_bfs(query):
     assert (out.edges if out.found else None) == bfs_distance(grid, start, goal)
 
 
+@st.composite
+def corridor_queries(draw):
+    """A serpentine grid of 9x9 to 24x24 and two free cells on it: walls
+    across the whole grid every 2-4 lines, each with one gap, so the way to
+    the goal often leads away from it first."""
+    across = draw(st.integers(9, 24))
+    along = draw(st.integers(9, 24))
+    walls = []
+    line = draw(st.integers(1, 3))
+    while line < along - 1:
+        gap = draw(st.integers(0, across - 1))
+        walls.extend((i, line) for i in range(across) if i != gap)
+        line += draw(st.integers(2, 4))
+    if draw(st.booleans()):  # walls run along x, else along y
+        grid = GridMap(across, along, frozenset(Cell(i, j) for i, j in walls))
+    else:
+        grid = GridMap(along, across, frozenset(Cell(j, i) for i, j in walls))
+    free = grid.free_cells()
+    return grid, draw(st.sampled_from(free)), draw(st.sampled_from(free))
+
+
+@SEARCH_SETTINGS
+@given(corridor_queries())
+def test_exact_astar_length_equals_bfs_in_corridors(query):
+    grid, start, goal = query
+    assert astar_exact(grid, start, goal).edges == bfs_distance(grid, start, goal)
+
+
 @SEARCH_SETTINGS
 @given(grid_queries(), perforation_specs())
 def test_found_perforated_paths_are_lawful(query, spec):
@@ -187,13 +215,14 @@ _MOVES = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
 
 @st.composite
 def padded_timelines(draw):
-    """2-4 lawful random walks (waits allowed) on one grid of up to 3x3, so
+    """2-24 lawful random walks (waits allowed) on one grid of up to 3x3, so
     that robots meet often, padded to a shared horizon by parking each robot
-    on its last cell."""
+    on its last cell. Groups reach both sides of the detector's
+    _PER_TICK_ROBOTS threshold."""
     grid = draw(grids(max_side=3))
     free = grid.free_cells()
     paths = {}
-    for robot_id in draw(st.lists(st.integers(0, 99), min_size=2, max_size=4, unique=True)):
+    for robot_id in draw(st.lists(st.integers(0, 99), min_size=2, max_size=24, unique=True)):
         path = [draw(st.sampled_from(free))]
         for dx, dy in draw(st.lists(st.sampled_from(_MOVES), min_size=4, max_size=16)):
             nxt = Cell(path[-1].x + dx, path[-1].y + dy)
