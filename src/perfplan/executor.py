@@ -168,15 +168,21 @@ def simulate(scenario: Scenario, spec: PerforationSpec = NO_PERFORATION) -> Simu
     A robot whose plan fails is recorded in failed_robots and excluded from
     collision analysis; the other robots are still replayed, so a planning
     failure is never mislabelled as a collision. A found path through a
-    blocked cell raises RuntimeError; Timeline checks that its steps are adjacent.
+    blocked or off-grid cell raises RuntimeError; Timeline checks that its
+    steps are adjacent.
     """
     outcomes: dict[int, PlanOutcome] = {}
     for task in scenario.tasks:
         outcomes[task.robot_id] = plan_multi_leg(scenario.grid, task, spec)
     found = {rid: out for rid, out in outcomes.items() if out.found}
+    grid = scenario.grid
+    mask, w, width, height = grid._mask, grid.width + 2, grid.width, grid.height
     for rid, out in found.items():
         for cell in out.path:
-            if not scenario.grid.is_free(cell):
+            x, y = cell
+            # The range test stays: the padded index of a cell two or more
+            # steps off the grid lands on a cell of another row.
+            if not (0 <= x < width and 0 <= y < height and mask[(y + 1) * w + x + 1]):
                 raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
     failed = tuple(rid for rid, out in outcomes.items() if not out.found)
     horizon = max((out.edges for out in found.values()), default=0)

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# A perforated iteration still pops the queue but generates at most one
-# successor, so it is charged a quarter of a full expansion in the
-# deterministic work proxy. Documented convention, applied everywhere.
+# A perforated iteration queues at most one successor, and as that key is
+# carried past the heap to the next pop it usually pops nothing from the
+# heap either. The deterministic work proxy charges it a quarter of a full
+# expansion. That is a modelled convention, applied everywhere: on the clock
+# a perforated iteration still costs 0.60-0.73 of a full one (per-workload
+# medians, README "Benchmark"), so the proxy overstates what it saves.
 SKIP_POP_COST = 0.25
 
 

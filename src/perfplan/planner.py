@@ -9,6 +9,10 @@ a thin greedy probe instead of orphaning its own frontier. Every queued cell
 is a free neighbor of a visited cell, so found paths are always obstacle-free
 and step-adjacent at any rate; at extreme rates the probe can dead-end and
 the search may legally fail.
+
+The smallest key an iteration queues is carried past the heap to the next
+pop, so a perforated iteration, whose one key is usually the probe's next
+cell, mostly runs without a heap operation.
 """
 
 from __future__ import annotations
@@ -138,6 +142,11 @@ class PlanOutcome:
         return len(self.path) - 1
 
 
+def _modulo_pattern(spec: PerforationSpec, length: int) -> bytes:
+    """`perforation_schedule(spec, i)` for each i < length, one byte each."""
+    return bytes([perforation_schedule(spec, i) for i in range(length)])
+
+
 def _astar(grid: GridMap, start: Cell, goal: Cell,
            spec: PerforationSpec | None, extent: int | None) -> PlanOutcome:
     start, goal = Cell(*start), Cell(*goal)
@@ -154,57 +163,94 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     hm = grid.width + grid.height  # exceeds every h
     gx, gy = goal.x + 1, goal.y + 1
     src, dst = (start.y + 1) * w + start.x + 1, gy * w + gx
+    # Exact and modulo searches look their schedule up in a byte pattern,
+    # iteration i at pattern[i % window]; spec stays set only for random and
+    # truncation, which call the schedule. Every iteration but the last
+    # closes a cell, so no index reaches n and the pattern needs at most n
+    # bytes, whatever the window.
+    window, pattern = 1, b"\x01"
+    if spec is not None and spec.mode == MODULO:
+        window, pattern = spec.window, _modulo_pattern(spec, min(spec.window, n))
+        spec = None
     # One int heap key (f*hm + h)*n + cell orders like (f, h, y, x): ties
-    # broken by lower h, then row-major cell.
+    # broken by lower h, then row-major cell. Keys are unique (a cell is
+    # re-queued only with a lower g), so the pop order depends only on the
+    # set of queued keys. The smallest key queued in an iteration is carried
+    # outside the heap and the next key is taken with heappushpop, which
+    # leaves the heap alone when the carried key is the smallest: the usual
+    # case for a perforated iteration, whose one key extends the probe.
     h0 = manhattan(start, goal)
-    open_heap = [(h0 * hm + h0) * n + src]
+    key = (h0 * hm + h0) * n + src
+    open_heap: list = []
     g = {src: 0}
     came_from: dict = {}
     expansions = 0
     skipped = 0
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push, pushpop = heapq.heappop, heapq.heappush, heapq.heappushpop
 
-    while open_heap:
-        cur = pop(open_heap) % n
-        if not open_[cur]:
-            continue  # stale heap entry, not a main-loop iteration
-        if cur == dst:
-            expansions += 1
-            path = [cur]
-            while cur in came_from:
-                cur = came_from[cur]
-                path.append(cur)
-            # Built from a list, not a generator: tuple() over a generator
-            # grows the tuple by reallocation, and in a loop that keeps a few
-            # small objects per search that doubled how fast peak RSS grew.
-            cells = tuple([Cell(i % w - 1, i // w - 1) for i in reversed(path)])
-            return PlanOutcome(FOUND, cells, expansions, skipped)
-        open_[cur] = 0
-        ng = g[cur] + 1
-        successors = (cur - w, cur - 1, cur + 1, cur + w)  # row-major
-        # This iteration's index: every earlier one was counted once.
-        if spec is not None and not perforation_schedule(spec, expansions + skipped, extent):
-            skipped += 1
-            # Degraded expansion: queue only the most promising successor,
-            # the first open neighbor with the lowest h.
-            best, best_h = (), hm
-            for nb in successors:
-                if open_[nb]:
-                    y, x = divmod(nb, w)
-                    hn = abs(x - gx) + abs(y - gy)
-                    if hn < best_h:
-                        best, best_h = (nb,), hn
-            successors = best
-        else:
-            expansions += 1
-        for nb in successors:
-            if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
-                g[nb] = ng
-                came_from[nb] = cur
-                y, x = divmod(nb, w)
-                hn = abs(x - gx) + abs(y - gy)
-                push(open_heap, ((ng + hn) * hm + hn) * n + nb)
-    return PlanOutcome(NOT_FOUND, (), expansions, skipped)
+    while True:
+        cur = key % n
+        if open_[cur]:  # else a stale heap entry, not a main-loop iteration
+            if cur == dst:
+                expansions += 1
+                path = [cur]
+                while cur in came_from:
+                    cur = came_from[cur]
+                    path.append(cur)
+                # Built from a list, not a generator: tuple() over a generator
+                # grows the tuple by reallocation, and in a loop that keeps a few
+                # small objects per search that doubled how fast peak RSS grew.
+                cells = tuple([Cell(i % w - 1, i // w - 1) for i in reversed(path)])
+                return PlanOutcome(FOUND, cells, expansions, skipped)
+            open_[cur] = 0
+            ng = g[cur] + 1
+            carried = 0  # keys are >= 1
+            # This iteration's index: every earlier one was counted once.
+            it = expansions + skipped
+            if pattern[it % window] if spec is None else perforation_schedule(spec, it, extent):
+                expansions += 1
+                for nb in (cur - w, cur - 1, cur + 1, cur + w):  # row-major
+                    if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
+                        g[nb] = ng
+                        came_from[nb] = cur
+                        y, x = divmod(nb, w)
+                        hn = abs(x - gx) + abs(y - gy)
+                        k = ((ng + hn) * hm + hn) * n + nb
+                        if not carried:
+                            carried = k
+                        elif k < carried:
+                            push(open_heap, carried)
+                            carried = k
+                        else:
+                            push(open_heap, k)
+            else:
+                skipped += 1
+                # Degraded expansion: queue only the most promising successor,
+                # the first open neighbor (row-major) with the lowest h. A
+                # neighbor's h is the current h - 1 if the step goes toward
+                # the goal and + 1 if not, so that is the first open neighbor
+                # toward the goal, else the first open one.
+                y, x = divmod(cur, w)
+                best, toward = 0, False
+                if open_[cur - w]:
+                    best, toward = cur - w, y > gy
+                if not toward and open_[cur - 1] and (x > gx or not best):
+                    best, toward = cur - 1, x > gx
+                if not toward and open_[cur + 1] and (x < gx or not best):
+                    best, toward = cur + 1, x < gx
+                if not toward and open_[cur + w] and (y < gy or not best):
+                    best, toward = cur + w, y < gy
+                if best and ng < g.get(best, n):
+                    g[best] = ng
+                    came_from[best] = cur
+                    hn = abs(x - gx) + abs(y - gy) + (-1 if toward else 1)
+                    carried = ((ng + hn) * hm + hn) * n + best
+            if carried:
+                key = pushpop(open_heap, carried)
+                continue
+        if not open_heap:
+            return PlanOutcome(NOT_FOUND, (), expansions, skipped)
+        key = pop(open_heap)
 
 
 def astar_exact(grid: GridMap, start: Cell, goal: Cell) -> PlanOutcome:

@@ -236,6 +236,18 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell Cell\(x=1, y=0\)"):
             simulate(scenario)
 
+    @pytest.mark.parametrize("off", [Cell(-2, 0), Cell(-3, 1), Cell(5, 0), Cell(0, -3), Cell(0, 3)])
+    def test_found_path_off_the_grid_is_rejected(self, monkeypatch, off):
+        # On this 3x2 grid the padded mask index of (-3, 1) and (5, 0) lands
+        # on a free cell of another row, (0, -3) wraps to the last row and
+        # (0, 3) lies past the mask's end: only the range test rejects them.
+        grid = GridMap(width=3, height=2, blocked=frozenset())
+        scenario = Scenario("edge", grid, (RobotTask(1, Cell(0, 0), Cell(0, 1)),))
+        off_grid = PlanOutcome(FOUND, (Cell(0, 0), off, Cell(0, 1)), 3, 0)
+        monkeypatch.setattr(executor, "plan_multi_leg", lambda *a: off_grid)
+        with pytest.raises(RuntimeError, match=rf"robot 1: .*blocked cell Cell\(x={off.x}, y={off.y}\)"):
+            simulate(scenario)
+
     def test_single_robot_never_collides(self):
         grid = GridMap(width=4, height=1, blocked=frozenset())
         scenario = Scenario("solo", grid, (RobotTask(1, Cell(0, 0), Cell(3, 0)),))

@@ -1,8 +1,10 @@
 """Perforation schedules and the exact/perforated A* search core."""
 
+import heapq
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -95,6 +97,16 @@ class TestSchedule:
             spec = PerforationSpec(MODULO, k, n)
             executed = sum(perforation_schedule(spec, i) for i in range(n * 40))
             assert executed == (n - k) * 40
+
+    def test_modulo_pattern_matches_the_schedule(self):
+        # The search looks modulo schedules up as pattern[i % window].
+        for window in range(1, 26):
+            for skip in range(window):
+                spec = PerforationSpec(MODULO, skip, window)
+                pattern = planner._modulo_pattern(spec, window)
+                assert len(pattern) == window
+                for i in range(3 * window):
+                    assert pattern[i % window] == perforation_schedule(spec, i), (skip, window, i)
 
     def test_truncation_tail(self):
         spec = PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL)
@@ -347,6 +359,54 @@ class TestKernelMatchesReference:
                 extent = exact.expansions if spec.mode == TRUNCATION else None
                 assert (_astar(grid, start, goal, spec, extent)
                         == reference_astar(grid, start, goal, spec, extent)), (start, goal, spec)
+
+    def test_perforated_pick_that_queues_nothing(self):
+        # Map (S start, G goal):   G # . .
+        #                          . . . .
+        #                          . . . S
+        #                          . . # .
+        # At 1/4 iterations 0-2 run in full and close S, (3, 1) and (3, 0),
+        # which queue (2, 1) with g = 2 and (2, 0) with g = 3. Iteration 3
+        # is perforated at (2, 0): its only open neighbor is (2, 1), whose
+        # g = 2 beats 4, so nothing is queued and the next key must come
+        # from the heap, not from the key carried past it.
+        grid = GridMap(4, 4, frozenset({Cell(1, 0), Cell(2, 3)}))
+        start, goal, spec = Cell(3, 2), Cell(0, 0), PerforationSpec(MODULO, 1, 4)
+        out = _astar(grid, start, goal, spec, None)
+        assert out == reference_astar(grid, start, goal, spec, None)
+        assert out.path == (Cell(3, 2), Cell(3, 1), Cell(2, 1), Cell(1, 1), Cell(0, 1), Cell(0, 0))
+        assert (out.expansions, out.skipped) == (7, 1)
+
+    def test_carried_key_keeps_a_straight_run_off_the_heap(self, monkeypatch):
+        # Down an open corridor each iteration's smallest key is the next
+        # cell toward the goal, so heappushpop hands the carried key straight
+        # back, exact or perforated, and nothing is popped from the heap.
+        taken = []
+
+        def pushpop(heap, key):
+            out = heapq.heappushpop(heap, key)
+            taken.append(out == key)
+            return out
+
+        def pop(heap):
+            raise AssertionError("popped from the heap")
+
+        monkeypatch.setattr(planner, "heapq", SimpleNamespace(
+            heappush=heapq.heappush, heappop=pop, heappushpop=pushpop))
+        grid = GridMap(30, 5, frozenset())
+        for spec in (None, PerforationSpec(MODULO, 22, 25)):
+            taken.clear()
+            out = _astar(grid, Cell(0, 2), Cell(29, 2), spec, None)
+            assert out.edges == 29 and out.expansions + out.skipped == 30
+            assert taken == [True] * 29
+
+    def test_window_larger_than_the_grid(self):
+        # The modulo pattern is cut at the mask size, which no iteration
+        # index reaches: a 10**12 window must neither allocate it nor differ.
+        spec = PerforationSpec(MODULO, 1, 10**12)
+        for start, goal in random_endpoints(WAREHOUSE, 4, 10):
+            assert (_astar(WAREHOUSE, start, goal, spec, None)
+                    == reference_astar(WAREHOUSE, start, goal, spec, None))
 
 
 class TestMultiLeg:
