@@ -20,6 +20,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count, cycle, repeat
 
 from .gridworld import Cell, GridMap, RobotTask
 
@@ -142,9 +144,19 @@ class PlanOutcome:
         return len(self.path) - 1
 
 
+@lru_cache(maxsize=64)
 def _modulo_pattern(spec: PerforationSpec, length: int) -> bytes:
     """`perforation_schedule(spec, i)` for each i < length, one byte each."""
     return bytes([perforation_schedule(spec, i) for i in range(length)])
+
+
+def _schedule(spec: PerforationSpec | None, extent: int | None, n: int):
+    """Iterator of `perforation_schedule(spec, i, extent)`, i = 0, 1, ...; every i read is < n."""
+    if spec is None or spec.skip == 0:
+        return repeat(True)
+    if spec.mode == MODULO:
+        return cycle(_modulo_pattern(spec, min(spec.window, n)))
+    return map(perforation_schedule, repeat(spec), count(), repeat(extent))
 
 
 def _astar(grid: GridMap, start: Cell, goal: Cell,
@@ -163,15 +175,8 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     hm = grid.width + grid.height  # exceeds every h
     gx, gy = goal.x + 1, goal.y + 1
     src, dst = (start.y + 1) * w + start.x + 1, gy * w + gx
-    # Exact and modulo searches look their schedule up in a byte pattern,
-    # iteration i at pattern[i % window]; spec stays set only for random and
-    # truncation, which call the schedule. Every iteration but the last
-    # closes a cell, so no index reaches n and the pattern needs at most n
-    # bytes, whatever the window.
-    window, pattern = 1, b"\x01"
-    if spec is not None and spec.mode == MODULO:
-        window, pattern = spec.window, _modulo_pattern(spec, min(spec.window, n))
-        spec = None
+    # Every iteration but the last closes a cell, so no index reaches n.
+    runs_in_full = _schedule(spec, extent, n).__next__
     # One int heap key (f*hm + h)*n + cell orders like (f, h, y, x): ties
     # broken by lower h, then row-major cell. Keys are unique (a cell is
     # re-queued only with a lower g), so the pop order depends only on the
@@ -205,9 +210,7 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
             open_[cur] = 0
             ng = g[cur] + 1
             carried = 0  # keys are >= 1
-            # This iteration's index: every earlier one was counted once.
-            it = expansions + skipped
-            if pattern[it % window] if spec is None else perforation_schedule(spec, it, extent):
+            if runs_in_full():
                 expansions += 1
                 for nb in (cur - w, cur - 1, cur + 1, cur + w):  # row-major
                     if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
@@ -265,9 +268,7 @@ def astar_perforated(grid: GridMap, start: Cell, goal: Cell, spec: PerforationSp
     exact run's expansion count for the same query. That exact search is
     work this mode does, so its expansions are added to the returned ones.
     """
-    if spec.skip == 0:
-        return _astar(grid, start, goal, None, None)
-    if spec.mode != TRUNCATION:
+    if spec.skip == 0 or spec.mode != TRUNCATION:
         return _astar(grid, start, goal, spec, None)
     extent = astar_exact(grid, start, goal).expansions
     out = _astar(grid, start, goal, spec, extent)

@@ -31,6 +31,12 @@ class TestExitCodes:
         assert code == 2
         assert "no path" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["modulo", "trunc", "random"])
+    def test_every_mode_plans_at_a_vanishing_rate(self, mode, capsys):
+        # Rate 1e-30 is window 10**30, above sys.maxsize in modulo mode.
+        assert main(["plan", "warehouse", "--robot", "1", "--rate", "1e-30", "--mode", mode]) == 0
+        assert "robot 1: 31 edges" in capsys.readouterr().out
+
     def test_usage_error_is_one(self, capsys):
         assert main([]) == 1
         assert main(["plan", "warehouse"]) == 1  # --robot is required

@@ -4,6 +4,7 @@ import heapq
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,7 @@ from perfplan.gridworld import (
 )
 from perfplan.planner import (
     HEAD,
+    MODES,
     MODULO,
     NO_PERFORATION,
     NOT_FOUND,
@@ -98,15 +100,26 @@ class TestSchedule:
             executed = sum(perforation_schedule(spec, i) for i in range(n * 40))
             assert executed == (n - k) * 40
 
-    def test_modulo_pattern_matches_the_schedule(self):
-        # The search looks modulo schedules up as pattern[i % window].
+    def test_schedule_iterator_matches_the_schedule(self):
+        # The search reads every mode through planner._schedule.
+        def check(spec, k, extent=None):
+            got = list(islice(planner._schedule(spec, extent, k), k))
+            assert got == [perforation_schedule(spec or NO_PERFORATION, i, extent)
+                           for i in range(k)], (spec, extent)
+
         for window in range(1, 26):
             for skip in range(window):
-                spec = PerforationSpec(MODULO, skip, window)
-                pattern = planner._modulo_pattern(spec, window)
-                assert len(pattern) == window
-                for i in range(3 * window):
-                    assert pattern[i % window] == perforation_schedule(spec, i), (skip, window, i)
+                check(PerforationSpec(MODULO, skip, window), 3 * window)
+        for seed in (0, 7):
+            for skip, window in ((1, 2), (22, 25)):
+                check(PerforationSpec(RANDOM, skip, window, seed=seed), 200)
+        for end in (HEAD, TAIL):
+            for extent in range(1, 31):
+                for skip, window in ((1, 2), (22, 25)):
+                    check(PerforationSpec(TRUNCATION, skip, window, truncate_at=end), extent + 5, extent)
+        for mode in MODES:
+            check(PerforationSpec(mode), 50)
+        check(None, 50)
 
     def test_truncation_tail(self):
         spec = PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL)
@@ -402,11 +415,13 @@ class TestKernelMatchesReference:
 
     def test_window_larger_than_the_grid(self):
         # The modulo pattern is cut at the mask size, which no iteration
-        # index reaches: a 10**12 window must neither allocate it nor differ.
-        spec = PerforationSpec(MODULO, 1, 10**12)
-        for start, goal in random_endpoints(WAREHOUSE, 4, 10):
-            assert (_astar(WAREHOUSE, start, goal, spec, None)
-                    == reference_astar(WAREHOUSE, start, goal, spec, None))
+        # index reaches: a huge window, even one above sys.maxsize, must
+        # neither allocate it nor differ.
+        for window in (10**12, 10**30):
+            spec = PerforationSpec(MODULO, 1, window)
+            for start, goal in random_endpoints(WAREHOUSE, 4, 10):
+                assert (_astar(WAREHOUSE, start, goal, spec, None)
+                        == reference_astar(WAREHOUSE, start, goal, spec, None))
 
 
 class TestMultiLeg:
