@@ -59,13 +59,11 @@ from .metrics import (
 )
 from .planner import (
     FOUND,
-    HEAD,
     MODES,
     MODULO,
     NO_PERFORATION,
     NOT_FOUND,
     RANDOM,
-    TAIL,
     TRUNCATION,
     PerforationSpec,
     PlanOutcome,
@@ -88,7 +86,7 @@ __all__ = [
     "parse_collision_csv", "parse_rate", "parse_rate_list", "parse_sweep_csv", "sweep",
     "SKIP_POP_COST", "CaseRecord", "PathErrorStats", "aggregate_error",
     "case_error_pct", "perforated_cost", "speedup_proxy",
-    "FOUND", "HEAD", "MODES", "MODULO", "NO_PERFORATION", "NOT_FOUND", "RANDOM",
-    "TAIL", "TRUNCATION", "PerforationSpec", "PlanOutcome", "astar_exact",
+    "FOUND", "MODES", "MODULO", "NO_PERFORATION", "NOT_FOUND", "RANDOM",
+    "TRUNCATION", "PerforationSpec", "PlanOutcome", "astar_exact",
     "astar_perforated", "manhattan", "perforation_schedule", "plan_multi_leg",
 ]

@@ -94,11 +94,12 @@ def _cmd_simulate(args) -> int:
     else:
         print("collisions: none")
 
+    # Ids are unique and each timeline is deduplicated: a marked cell is another robot's.
     marks: dict = {}
     for tl in report.timelines:
         digit = str(tl.robot_id)[-1]
         for cell in dict.fromkeys(tl.positions):
-            marks[cell] = "+" if cell in marks and marks[cell] != digit else digit
+            marks[cell] = "+" if cell in marks else digit
     for ev in report.collisions:
         for cell in ev.cells:
             marks[cell] = "X"
@@ -129,14 +130,14 @@ def _emit(rows, args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario)
-    rates = parse_rate_list(args.rates) if args.rates else None
+    rates = parse_rate_list(args.rates) if args.rates is not None else None
     rows = sweep(scenario.grid, rates=rates, n_cases=args.cases, seed=args.seed)
     return _emit(rows, args)
 
 
 def _cmd_collisions(args) -> int:
     scenario = _load_scenario(args.scenario)
-    rates = parse_rate_list(args.rates) if args.rates else None
+    rates = parse_rate_list(args.rates) if args.rates is not None else None
     rows = collision_study(scenario, rates=rates, n_trials=args.trials, seed=args.seed)
     return _emit(rows, args)
 

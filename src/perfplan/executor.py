@@ -14,7 +14,7 @@ cells and moves, O(R*T). Both return the same events in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .gridworld import Cell, Scenario
@@ -61,7 +61,7 @@ class SimulationReport:
     timelines: tuple
     collisions: tuple
     makespan: int
-    failed_robots: tuple = field(default=())
+    failed_robots: tuple
 
     @property
     def safe(self) -> bool:
@@ -102,7 +102,7 @@ def detect_collisions(timelines) -> tuple:
     the pair scan; both find the same events.
     """
     tls = list(timelines)
-    if len(tls) > 1 and len({tl.horizon for tl in tls}) > 1:
+    if len({tl.horizon for tl in tls}) > 1:
         raise ValueError("timelines have mismatched horizons; pad them first")
     tls.sort(key=lambda tl: tl.robot_id)
     scan = _per_tick_scan if len(tls) > _PER_TICK_ROBOTS else _pair_scan

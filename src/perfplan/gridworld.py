@@ -36,11 +36,9 @@ _BLOCKED_CHAR = "#"
 class ScenarioError(ValueError):
     """Malformed scenario text; `line` is the 1-based offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True)

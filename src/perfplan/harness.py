@@ -153,7 +153,7 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
         rows.append(SweepRow(
             rate=rate,
             mean_speedup_wall=sum(r.exact_wall_time / max(r.approx_wall_time, 1e-9)
-                                  for r in records) / len(records) if measure_wall else 0.0,
+                                  for r in records) / len(records),
             mean_speedup_proxy=sum(speedup_proxy(r.exact_expansions, perforated_cost(
                 r.approx_expansions, r.approx_skipped)) for r in records) / len(records),
             pct_len_increase=100 * stats.n_increased / stats.n_cases,

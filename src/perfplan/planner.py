@@ -28,8 +28,6 @@ from .gridworld import Cell, GridMap, RobotTask
 MODULO = "modulo"
 TRUNCATION = "truncation"
 RANDOM = "random"
-HEAD = "head"
-TAIL = "tail"
 MODES = (MODULO, TRUNCATION, RANDOM)
 
 FOUND = "found"
@@ -58,7 +56,7 @@ class PerforationSpec:
                 execute and the last `skip` are dropped; skip=window-1 is the
                 classic `i += n` stride, skip=1 the one-in-n drop.
     truncation: a contiguous block of floor(rate * extent) indices is dropped
-                at the head or tail of the loop's planned extent.
+                at the tail of the loop's planned extent.
     random:     each index is dropped independently with probability skip/window,
                 decided statelessly from (seed, index).
     """
@@ -66,14 +64,11 @@ class PerforationSpec:
     mode: str = MODULO
     skip: int = 0
     window: int = 1
-    truncate_at: str = TAIL
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown perforation mode {self.mode!r}; choose from {MODES}")
-        if self.truncate_at not in (HEAD, TAIL):
-            raise ValueError(f"truncate_at must be {HEAD!r} or {TAIL!r}, got {self.truncate_at!r}")
         if not (0 <= self.skip < self.window):
             raise ValueError(f"need 0 <= skip < window, got {self.skip}/{self.window}")
 
@@ -110,10 +105,7 @@ def perforation_schedule(spec: PerforationSpec, i: int, extent: int | None = Non
         raise ValueError("truncation schedule needs a loop extent")
     if extent < 1:
         raise ValueError(f"loop extent must be >= 1, got {extent}")
-    cut = spec.skip * extent // spec.window
-    if spec.truncate_at == HEAD:
-        return i >= cut
-    return i < extent - cut
+    return i < extent - spec.skip * extent // spec.window
 
 
 @dataclass(frozen=True)
@@ -150,9 +142,9 @@ def _modulo_pattern(spec: PerforationSpec, length: int) -> bytes:
     return bytes([perforation_schedule(spec, i) for i in range(length)])
 
 
-def _schedule(spec: PerforationSpec | None, extent: int | None, n: int):
+def _schedule(spec: PerforationSpec, extent: int | None, n: int):
     """Iterator of `perforation_schedule(spec, i, extent)`, i = 0, 1, ...; every i read is < n."""
-    if spec is None or spec.skip == 0:
+    if spec.skip == 0:
         return repeat(True)
     if spec.mode == MODULO:
         return cycle(_modulo_pattern(spec, min(spec.window, n)))
@@ -160,7 +152,7 @@ def _schedule(spec: PerforationSpec | None, extent: int | None, n: int):
 
 
 def _astar(grid: GridMap, start: Cell, goal: Cell,
-           spec: PerforationSpec | None, extent: int | None) -> PlanOutcome:
+           spec: PerforationSpec, extent: int | None) -> PlanOutcome:
     start, goal = Cell(*start), Cell(*goal)
     for label, cell in (("start", start), ("goal", goal)):
         if not grid.is_free(cell):
@@ -258,7 +250,7 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
 
 def astar_exact(grid: GridMap, start: Cell, goal: Cell) -> PlanOutcome:
     """Optimal A*: unit edge cost, Manhattan heuristic, 4-connectivity."""
-    return _astar(grid, start, goal, None, None)
+    return _astar(grid, start, goal, NO_PERFORATION, None)
 
 
 def astar_perforated(grid: GridMap, start: Cell, goal: Cell, spec: PerforationSpec) -> PlanOutcome:

@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, output shapes, file emission."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from perfplan.cli import main
@@ -47,6 +50,13 @@ class TestExitCodes:
         assert main(["plan", "warehouse", "--robot", "1", "--rate", "2"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "collisions"])
+    def test_empty_rate_list_is_one(self, command, capsys):
+        # An empty --rates is an error, not a request for the default rates.
+        assert main([command, "warehouse", "--rates", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "empty rate list" in err
+
     def test_unknown_scenario_is_one(self, capsys):
         assert main(["plan", "depot", "--robot", "1"]) == 1
         assert "neither a built-in" in capsys.readouterr().err
@@ -92,6 +102,17 @@ class TestSimulateOutput:
         assert "t,robot_id,x,y" in out
         assert "0,1,5,4" in out  # robot 1 starts at (5,4)
         assert "0,2,2,7" in out
+
+    def test_overlap_of_robots_sharing_a_last_digit(self, tmp_path, capsys):
+        # Robots 1 and 11 are both drawn as "1"; where their paths cross
+        # the map must still show the overlap.
+        path = tmp_path / "digits.scen"
+        path.write_text("map 5 3\n.....\n.....\n.....\n"
+                        "robot 1 start 0,1 goal 4,1\n"
+                        "robot 11 start 2,0 goal 2,2\n"
+                        "robot 2 start 0,2 goal 4,2\n")
+        assert main(["simulate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == ["..1..", "11+11", "22X22"]
 
     def test_trace_to_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -162,3 +183,21 @@ class TestAssign:
     def test_bad_task_token(self, capsys):
         assert main(["assign", "warehouse", "--tasks", "21;14,19"]) == 1
         assert "cannot parse" in capsys.readouterr().err
+
+
+def _readme_usage_lines():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Command-line usage", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("perfplan ")]
+
+
+def test_readme_usage_lines_cover_every_command():
+    assert [line.split()[1] for line in _readme_usage_lines()] == [
+        "plan", "simulate", "sweep", "collisions", "assign"]
+
+
+@pytest.mark.parametrize("line", _readme_usage_lines())
+def test_readme_usage_line_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # some lines write their report to a file
+    assert main(shlex.split(line)[1:]) == 0

@@ -19,13 +19,11 @@ from perfplan.gridworld import (
     random_endpoints,
 )
 from perfplan.planner import (
-    HEAD,
     MODES,
     MODULO,
     NO_PERFORATION,
     NOT_FOUND,
     RANDOM,
-    TAIL,
     TRUNCATION,
     PerforationSpec,
     PlanOutcome,
@@ -62,8 +60,6 @@ class TestPerforationSpec:
             PerforationSpec(MODULO, -1, 2)
         with pytest.raises(ValueError, match="skip < window"):
             PerforationSpec(MODULO, 2, 2)
-        with pytest.raises(ValueError, match="truncate_at"):
-            PerforationSpec(TRUNCATION, 1, 2, truncate_at="middle")
 
     def test_rate_property(self):
         assert PerforationSpec(MODULO, 3, 4).rate == Fraction(3, 4)
@@ -104,8 +100,7 @@ class TestSchedule:
         # The search reads every mode through planner._schedule.
         def check(spec, k, extent=None):
             got = list(islice(planner._schedule(spec, extent, k), k))
-            assert got == [perforation_schedule(spec or NO_PERFORATION, i, extent)
-                           for i in range(k)], (spec, extent)
+            assert got == [perforation_schedule(spec, i, extent) for i in range(k)], (spec, extent)
 
         for window in range(1, 26):
             for skip in range(window):
@@ -113,25 +108,19 @@ class TestSchedule:
         for seed in (0, 7):
             for skip, window in ((1, 2), (22, 25)):
                 check(PerforationSpec(RANDOM, skip, window, seed=seed), 200)
-        for end in (HEAD, TAIL):
-            for extent in range(1, 31):
-                for skip, window in ((1, 2), (22, 25)):
-                    check(PerforationSpec(TRUNCATION, skip, window, truncate_at=end), extent + 5, extent)
+        for extent in range(1, 31):
+            for skip, window in ((1, 2), (22, 25)):
+                check(PerforationSpec(TRUNCATION, skip, window), extent + 5, extent)
         for mode in MODES:
             check(PerforationSpec(mode), 50)
-        check(None, 50)
 
     def test_truncation_tail(self):
-        spec = PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL)
+        spec = PerforationSpec(TRUNCATION, 1, 2)
         # extent 10, cut 5: first five execute, last five are dropped.
         assert schedule_string(spec, 10, extent=10) == "EEEEESSSSS"
 
-    def test_truncation_head(self):
-        spec = PerforationSpec(TRUNCATION, 1, 2, truncate_at=HEAD)
-        assert schedule_string(spec, 10, extent=10) == "SSSSSEEEEE"
-
     def test_truncation_cut_floors(self):
-        spec = PerforationSpec(TRUNCATION, 1, 3, truncate_at=TAIL)
+        spec = PerforationSpec(TRUNCATION, 1, 3)
         # cut = floor(10/3) = 3 of extent 10.
         assert schedule_string(spec, 10, extent=10) == "EEEEEEESSS"
 
@@ -312,38 +301,27 @@ class TestPerforatedAstar:
         assert out.path == () and out.skipped > 0
 
     @pytest.mark.parametrize("spec, exact_calls", [
-        (PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL), 1),
-        (PerforationSpec(TRUNCATION, 3, 4, truncate_at=HEAD), 1),
-        (PerforationSpec(TRUNCATION, truncate_at=HEAD), 0),
+        (PerforationSpec(TRUNCATION, 1, 2), 1),
+        (PerforationSpec(TRUNCATION), 0),
         (NO_PERFORATION, 0),
         (PerforationSpec(MODULO, 1, 2), 0),
         (PerforationSpec(RANDOM, 1, 2, seed=5), 0),
-    ], ids=["trunc-tail", "trunc-head", "trunc-rate0", "exact", "modulo", "random"])
+    ], ids=["trunc-tail", "trunc-rate0", "exact", "modulo", "random"])
     def test_only_truncation_runs_an_exact_search_for_its_extent(self, monkeypatch, spec, exact_calls):
         start, goal = Cell(5, 4), Cell(21, 19)
         extent = astar_exact(WAREHOUSE, start, goal).expansions
         calls = []
-        monkeypatch.setattr(planner, "astar_exact", lambda *a: calls.append(a) or _astar(*a, None, None))
+        monkeypatch.setattr(planner, "astar_exact", lambda *a: calls.append(a) or _astar(*a, NO_PERFORATION, None))
         out = astar_perforated(WAREHOUSE, start, goal, spec)
         assert len(calls) == exact_calls
         if spec.skip == 0:
-            assert out == _astar(WAREHOUSE, start, goal, None, None)
+            assert out == _astar(WAREHOUSE, start, goal, NO_PERFORATION, None)
         elif spec.mode == TRUNCATION:
             # The extent search is work this mode does, so it is counted.
             inner = _astar(WAREHOUSE, start, goal, spec, extent)
             assert out == replace(inner, expansions=inner.expansions + extent)
         else:
             assert out == _astar(WAREHOUSE, start, goal, spec, None)
-
-    def test_truncation_modes_differ(self):
-        start, goal = Cell(5, 4), Cell(21, 19)
-        head = astar_perforated(
-            WAREHOUSE, start, goal, PerforationSpec(TRUNCATION, 1, 2, truncate_at=HEAD)
-        )
-        tail = astar_perforated(
-            WAREHOUSE, start, goal, PerforationSpec(TRUNCATION, 1, 2, truncate_at=TAIL)
-        )
-        assert (head.expansions, head.skipped) != (tail.expansions, tail.skipped)
 
 
 _RNG = random.Random(40)
@@ -360,14 +338,13 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("name", REFERENCE_GRIDS)
     def test_every_search_equals_the_reference(self, name):
         # Status, path, expansions and skipped, in every mode at every
-        # ladder rate, truncation from both ends.
+        # ladder rate.
         grid = REFERENCE_GRIDS[name]
-        specs = [PerforationSpec(mode, rate.numerator, rate.denominator, end, seed=7)
-                 for mode, end in ((MODULO, TAIL), (RANDOM, TAIL), (TRUNCATION, HEAD), (TRUNCATION, TAIL))
-                 for rate in REFERENCE_RATES]
+        specs = [PerforationSpec(mode, rate.numerator, rate.denominator, seed=7)
+                 for mode in MODES for rate in REFERENCE_RATES]
         for start, goal in random_endpoints(grid, 2, 40):
             exact = reference_astar(grid, start, goal, None, None)
-            assert _astar(grid, start, goal, None, None) == exact
+            assert _astar(grid, start, goal, NO_PERFORATION, None) == exact
             for spec in specs:
                 extent = exact.expansions if spec.mode == TRUNCATION else None
                 assert (_astar(grid, start, goal, spec, extent)
@@ -407,7 +384,7 @@ class TestKernelMatchesReference:
         monkeypatch.setattr(planner, "heapq", SimpleNamespace(
             heappush=heapq.heappush, heappop=pop, heappushpop=pushpop))
         grid = GridMap(30, 5, frozenset())
-        for spec in (None, PerforationSpec(MODULO, 22, 25)):
+        for spec in (NO_PERFORATION, PerforationSpec(MODULO, 22, 25)):
             taken.clear()
             out = _astar(grid, Cell(0, 2), Cell(29, 2), spec, None)
             assert out.edges == 29 and out.expansions + out.skipped == 30

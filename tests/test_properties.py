@@ -25,9 +25,7 @@ from perfplan.gridworld import (  # noqa: E402
     render_scenario,
 )
 from perfplan.planner import (  # noqa: E402
-    HEAD,
     MODES,
-    TAIL,
     TRUNCATION,
     PerforationSpec,
     _astar,
@@ -140,8 +138,8 @@ def grid_queries(draw):
 
 def perforation_specs(skip=st.integers(0, 9)):
     return st.builds(
-        lambda mode, end, seed, skip, extra: PerforationSpec(mode, skip, skip + extra, end, seed),
-        st.sampled_from(MODES), st.sampled_from([HEAD, TAIL]), st.integers(0, 2**16), skip,
+        lambda mode, seed, skip, extra: PerforationSpec(mode, skip, skip + extra, seed=seed),
+        st.sampled_from(MODES), st.integers(0, 2**16), skip,
         st.integers(1, 9))
 
 
