@@ -6,7 +6,10 @@ import math
 from dataclasses import dataclass
 
 from .gridworld import Cell, GridMap
-from .planner import astar_exact
+
+# Mask bytes 0/1 as the digits of a base-2 int: see build_cost_matrix.
+# Base-2 int() is exempt from the interpreter's max-str-digits limit.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def unreachable_sentinel(grid: GridMap) -> int:
@@ -53,7 +56,17 @@ class Assignment:
 
 
 def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
-    """Exact A* edge count per (robot, task) pair; sentinel when unreachable."""
+    """Shortest-path edge count per (robot, task) pair; sentinel when unreachable.
+
+    One breadth-first search per robot, run as a bit-parallel wavefront.
+    The padded occupancy mask becomes one int whose bit i is mask byte i,
+    so a cell's four neighbors are the shifts by 1 and by width + 2. The
+    blocked border stops a shift from wrapping into the next row. Each
+    level is the previous one shifted four ways and masked by the free
+    cells not yet reached; a task cell gets the level that first covers it.
+    A robot's search stops once it has reached all its task cells or its
+    wavefront dies out. BFS distances equal exact A*'s edge counts.
+    """
     robots = [Cell(*c) for c in robot_cells]
     tasks = [Cell(*c) for c in task_cells]
     if not robots or len(robots) != len(tasks):
@@ -62,13 +75,31 @@ def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
         if not grid.is_free(cell):
             raise ValueError(f"cell {cell} is blocked or out of range")
     sentinel = unreachable_sentinel(grid)
+    w = grid.width + 2
+    free = int(grid._mask[::-1].translate(_BIT_DIGITS), 2)
+    task_at = [(t.y + 1) * w + t.x + 1 for t in tasks]
+    all_targets = sum(1 << i for i in set(task_at))
     rows = []
     for r in robots:
-        row = []
-        for t in tasks:
-            outcome = astar_exact(grid, r, t)
-            row.append(outcome.edges if outcome.found else sentinel)
-        rows.append(tuple(row))
+        front = 1 << (r.y + 1) * w + r.x + 1
+        avail = free ^ front
+        targets = all_targets
+        found = {}  # task bit index -> distance
+        d = 0
+        while front:
+            hit = front & targets
+            if hit:
+                targets ^= hit
+                while hit:
+                    low = hit & -hit
+                    found[low.bit_length() - 1] = d
+                    hit ^= low
+                if not targets:
+                    break
+            front = (front << 1 | front >> 1 | front << w | front >> w) & avail
+            avail ^= front
+            d += 1
+        rows.append(tuple(found.get(i, sentinel) for i in task_at))
     return CostMatrix(len(rows), tuple(rows))
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .assignment import build_cost_matrix, hungarian
+from .assignment import build_cost_matrix, hungarian, unreachable_sentinel
 from .executor import simulate
 from .gridworld import BUILTIN_NAMES, Cell, Scenario, ScenarioError, _render_grid, builtin_scenario, load_scenario
 from .harness import (
@@ -80,6 +80,17 @@ def _cmd_plan(args) -> int:
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     report = simulate(scenario, _make_spec(args))
+    trace = None
+    if args.trace:
+        lines = ["t,robot_id,x,y"]
+        for t in range(report.makespan + 1):
+            for tl in report.timelines:
+                pos = tl.positions[t]
+                lines.append(f"{t},{tl.robot_id},{pos.x},{pos.y}")
+        trace = "\n".join(lines) + "\n"
+        if args.trace != "-":
+            # Written before the report, so a failed write leaves stdout empty.
+            Path(args.trace).write_text(trace)
     for rid, out in report.outcomes.items():
         if out.found:
             print(f"robot {rid}: {out.edges} edges, {out.expansions} expansions, "
@@ -104,18 +115,8 @@ def _cmd_simulate(args) -> int:
         for cell in ev.cells:
             marks[cell] = "X"
     print(_render_grid(scenario.grid, marks))
-
-    if args.trace:
-        lines = ["t,robot_id,x,y"]
-        for t in range(report.makespan + 1):
-            for tl in report.timelines:
-                pos = tl.positions[t]
-                lines.append(f"{t},{tl.robot_id},{pos.x},{pos.y}")
-        text = "\n".join(lines) + "\n"
-        if args.trace == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.trace).write_text(text)
+    if args.trace == "-":
+        sys.stdout.write(trace)
     return 0
 
 
@@ -153,10 +154,15 @@ def _cmd_assign(args) -> int:
         raise ValueError(f"{len(scenario.tasks)} robots but {len(task_cells)} tasks")
     matrix = build_cost_matrix(scenario.grid, [t.start for t in scenario.tasks], task_cells)
     result = hungarian(matrix)
-    print("robot_id,task_index,cost")
+    sentinel = unreachable_sentinel(scenario.grid)
+    lines = ["robot_id,task_index,cost"]
     for i, robot in enumerate(scenario.tasks):
         j = result.mapping[i]
-        print(f"{robot.robot_id},{j},{matrix.costs[i][j]}")
+        if matrix.costs[i][j] == sentinel:
+            cell = task_cells[j]
+            raise ValueError(f"robot {robot.robot_id} cannot reach task {j} at {cell.x},{cell.y}")
+        lines.append(f"{robot.robot_id},{j},{matrix.costs[i][j]}")
+    print("\n".join(lines))
     return 0
 
 

@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import perfplan.assignment as assignment_module
+import perfplan.planner as planner_module
 
 from oracles import bfs_distance, brute_force_assignment
 from perfplan.assignment import (
@@ -77,6 +79,33 @@ class TestBuildCostMatrix:
     def test_rejects_non_integer_cells(self):
         with pytest.raises(ValueError, match="out of range"):
             build_cost_matrix(OPEN_5x5, [Cell(0.5, 0)], [Cell(4, 4)])
+
+    def test_row_ends_do_not_touch(self):
+        # #..
+        # .##   (2,0) and (0,1) are adjacent bytes of an unpadded mask.
+        grid = GridMap(3, 2, frozenset({Cell(0, 0), Cell(1, 1), Cell(2, 1)}))
+        m = build_cost_matrix(grid, [Cell(2, 0), Cell(0, 1)], [Cell(0, 1), Cell(2, 0)])
+        assert unreachable_sentinel(grid) == 7
+        assert m.costs == ((7, 0), (0, 7))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreters before 3.10.7 have no digit limit")
+    def test_large_mask_ignores_the_str_digits_limit(self):
+        # A 144x126 mask has 18k bits, far above a 640-digit limit.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            m = build_cost_matrix(GridMap(144, 126, frozenset()), [Cell(0, 0)], [Cell(143, 125)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert m.costs == ((268,),)
+
+    def test_runs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_cost_matrix ran an A* search")
+        monkeypatch.setattr(planner_module, "_astar", refuse)
+        m = build_cost_matrix(WAREHOUSE, [Cell(5, 4), Cell(2, 7)], [Cell(21, 19), Cell(14, 19)])
+        assert m.costs == ((31, 24), (31, 24))
 
     def test_matches_bfs_oracle_on_warehouse(self):
         robots = [Cell(5, 4), Cell(2, 7), Cell(21, 3)]

@@ -122,6 +122,13 @@ class TestSimulateOutput:
         # one row per robot per tick, plus the header
         assert len(lines) == 1 + 2 * 32
 
+    def test_failed_trace_write_prints_nothing(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "x.csv"
+        assert main(["simulate", "warehouse", "--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "No such file or directory" in err
+
 
 class TestReportCommands:
     def test_sweep_to_stdout(self, capsys):
@@ -179,6 +186,17 @@ class TestAssign:
     def test_task_count_mismatch(self, capsys):
         assert main(["assign", "warehouse", "--tasks", "21,19"]) == 1
         assert "2 robots but 1 tasks" in capsys.readouterr().err
+
+    def test_unreachable_task_is_one(self, tmp_path, capsys):
+        # A wall splits the map; robot 2 is left with the task beyond it.
+        path = tmp_path / "split.scen"
+        path.write_text("map 5 3\n..#..\n..#..\n..#..\n"
+                        "robot 1 start 0,0 goal 1,0\n"
+                        "robot 2 start 4,0 goal 3,0\n")
+        assert main(["assign", str(path), "--tasks", "0,2;1,2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: robot 2 cannot reach task 1 at 1,2\n"
 
     def test_bad_task_token(self, capsys):
         assert main(["assign", "warehouse", "--tasks", "21;14,19"]) == 1

@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from oracles import bfs_distance, brute_force_assignment, reference_astar, scan_collisions  # noqa: E402
-from perfplan.assignment import CostMatrix, hungarian  # noqa: E402
+from perfplan.assignment import CostMatrix, build_cost_matrix, hungarian, unreachable_sentinel  # noqa: E402
 from perfplan.executor import detect_collisions, path_to_timeline  # noqa: E402
 from perfplan.gridworld import (  # noqa: E402
     Cell,
@@ -136,6 +136,22 @@ def grid_queries(draw):
     return grid, draw(st.sampled_from(free)), draw(st.sampled_from(free))
 
 
+@st.composite
+def dispatches(draw):
+    """A grid of up to 12x12 with 1-6 robot cells and as many task cells.
+
+    Task cells are drawn with extra weight on edge cells and on the robots'
+    own cells, so tasks on the border, repeated tasks and robots standing
+    on a task come up often."""
+    grid = draw(grids(max_side=12))
+    free = grid.free_cells()
+    edge = [c for c in free if c.x in (0, grid.width - 1) or c.y in (0, grid.height - 1)]
+    n = draw(st.integers(1, 6))
+    robots = draw(st.lists(st.sampled_from(free), min_size=n, max_size=n))
+    tasks = draw(st.lists(st.sampled_from(free + edge + robots), min_size=n, max_size=n))
+    return grid, robots, tasks
+
+
 def perforation_specs(skip=st.integers(0, 9)):
     return st.builds(
         lambda mode, seed, skip, extra: PerforationSpec(mode, skip, skip + extra, seed=seed),
@@ -206,6 +222,20 @@ def test_kernel_matches_reference_search(query, spec):
     grid, start, goal = query
     extent = reference_astar(grid, start, goal, None, None).expansions if spec.mode == TRUNCATION else None
     assert _astar(grid, start, goal, spec, extent) == reference_astar(grid, start, goal, spec, extent)
+
+
+@SEARCH_SETTINGS
+@given(dispatches())
+# Row ends that an unpadded mask would join, a repeated task on an edge
+# cell, and a robot standing on a task.
+@example((GridMap(3, 2, frozenset({Cell(0, 0), Cell(1, 1), Cell(2, 1)})),
+          [Cell(2, 0), Cell(0, 1), Cell(1, 0)], [Cell(0, 1), Cell(2, 0), Cell(2, 0)]))
+def test_cost_matrix_equals_bfs(dispatch):
+    grid, robots, tasks = dispatch
+    sentinel = unreachable_sentinel(grid)
+    want = tuple(tuple(sentinel if (d := bfs_distance(grid, r, t)) is None else d for t in tasks)
+                 for r in robots)
+    assert build_cost_matrix(grid, robots, tasks).costs == want
 
 
 _MOVES = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
