@@ -13,7 +13,8 @@ from pathlib import Path
 
 from .assignment import build_cost_matrix, hungarian, unreachable_sentinel
 from .executor import simulate
-from .gridworld import BUILTIN_NAMES, Cell, Scenario, ScenarioError, _render_grid, builtin_scenario, load_scenario
+from .gridworld import (BUILTIN_NAMES, Scenario, ScenarioError, _parse_cell, _render_grid, builtin_scenario,
+                        load_scenario)
 from .harness import (
     DEFAULT_CASES,
     DEFAULT_SEED,
@@ -84,9 +85,7 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         lines = ["t,robot_id,x,y"]
         for t in range(report.makespan + 1):
-            for tl in report.timelines:
-                pos = tl.positions[t]
-                lines.append(f"{t},{tl.robot_id},{pos.x},{pos.y}")
+            lines += [f"{t},{tl.robot_id},{tl.positions[t]}" for tl in report.timelines]
         trace = "\n".join(lines) + "\n"
         if args.trace != "-":
             # Written before the report, so a failed write leaves stdout empty.
@@ -146,10 +145,9 @@ def _cmd_collisions(args) -> int:
 def _cmd_assign(args) -> int:
     scenario = _load_scenario(args.scenario)
     try:
-        task_cells = [Cell(*(int(v) for v in tok.split(",")))
-                      for tok in args.tasks.split(";") if tok.strip()]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"cannot parse --tasks {args.tasks!r}: expected 'x,y;x,y;...'") from exc
+        task_cells = [_parse_cell(tok) for tok in args.tasks.split(";")]
+    except ValueError as exc:
+        raise ValueError(f"cannot parse --tasks: {exc}") from None
     if len(task_cells) != len(scenario.tasks):
         raise ValueError(f"{len(scenario.tasks)} robots but {len(task_cells)} tasks")
     matrix = build_cost_matrix(scenario.grid, [t.start for t in scenario.tasks], task_cells)
@@ -159,8 +157,7 @@ def _cmd_assign(args) -> int:
     for i, robot in enumerate(scenario.tasks):
         j = result.mapping[i]
         if matrix.costs[i][j] == sentinel:
-            cell = task_cells[j]
-            raise ValueError(f"robot {robot.robot_id} cannot reach task {j} at {cell.x},{cell.y}")
+            raise ValueError(f"robot {robot.robot_id} cannot reach task {j} at {task_cells[j]}")
         lines.append(f"{robot.robot_id},{j},{matrix.costs[i][j]}")
     print("\n".join(lines))
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gridworld import Cell, Scenario
+from .gridworld import Scenario
 from .planner import NO_PERFORATION, PerforationSpec, PlanOutcome, manhattan, plan_multi_leg
 
 VERTEX = "vertex"
@@ -70,7 +70,7 @@ class SimulationReport:
 
 def path_to_timeline(robot_id: int, path, horizon: int) -> Timeline:
     """Pad a path to `horizon` ticks by parking the robot at its last cell."""
-    cells = [Cell(*c) for c in path]
+    cells = list(path)
     if not cells:
         raise ValueError("cannot build a timeline from an empty path")
     if horizon < len(cells) - 1:

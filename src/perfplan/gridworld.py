@@ -26,6 +26,10 @@ class Cell(NamedTuple):
     x: int
     y: int
 
+    def __str__(self):
+        """The text form of scenario files and messages; `_parse_cell` reads it back."""
+        return f"{self.x},{self.y}"
+
 
 BUILTIN_NAMES = ("warehouse", "room")
 
@@ -132,9 +136,9 @@ def _check_task(grid: GridMap, task: RobotTask, seen_ids: set) -> None:
     for label, cell in [("start", task.start), ("goal", task.goal)] + [
             ("waypoint", w) for w in task.waypoints]:
         if not grid.in_bounds(cell):
-            raise ValueError(f"robot {rid} {label} {cell.x},{cell.y} is out of range")
+            raise ValueError(f"robot {rid} {label} {cell} is out of range")
         if not grid.is_free(cell):
-            raise ValueError(f"robot {rid} {label} on blocked cell {cell.x},{cell.y}")
+            raise ValueError(f"robot {rid} {label} on blocked cell {cell}")
     if task.start == task.goal and not task.waypoints:
         raise ValueError(f"robot {rid} start equals goal without waypoints")
 
@@ -165,30 +169,29 @@ class Scenario:
 # Scenario file parsing / rendering
 # ---------------------------------------------------------------------------
 
-def _parse_cell(token: str, line: int) -> Cell:
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise ScenarioError(f"expected cell as <x>,<y>, got {token!r}", line)
+def _parse_cell(token: str) -> Cell:
+    """The cell written `<x>,<y>`, as `str(cell)` writes it; ValueError otherwise."""
+    x, _, y = token.partition(",")
     try:
-        return Cell(int(parts[0]), int(parts[1]))
+        return Cell(int(x), int(y))
     except ValueError:
-        raise ScenarioError(f"expected cell as <x>,<y>, got {token!r}", line) from None
+        raise ValueError(f"expected cell as <x>,<y>, got {token!r}") from None
 
 
-def _parse_robot_line(tokens: list[str], line: int) -> RobotTask:
+def _parse_robot_line(tokens: list[str]) -> RobotTask:
     try:
         robot_id = int(tokens[1])
     except (IndexError, ValueError):
-        raise ScenarioError("expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'", line) from None
+        raise ValueError("expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'") from None
     rest = tokens[2:]
     if len(rest) not in (4, 6) or rest[0] != "start" or rest[-2] != "goal":
-        raise ScenarioError("expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'", line)
-    start, goal = _parse_cell(rest[1], line), _parse_cell(rest[-1], line)
+        raise ValueError("expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'")
+    start, goal = _parse_cell(rest[1]), _parse_cell(rest[-1])
     waypoints = ()
     if len(rest) == 6:
         if rest[2] != "via":
-            raise ScenarioError(f"expected 'via', got {rest[2]!r}", line)
-        waypoints = tuple(_parse_cell(tok, line) for tok in rest[3].split(";"))
+            raise ValueError(f"expected 'via', got {rest[2]!r}")
+        waypoints = tuple(_parse_cell(tok) for tok in rest[3].split(";"))
     return RobotTask(robot_id, start, goal, waypoints)
 
 
@@ -247,8 +250,8 @@ def load_scenario(text: str, name: str = "scenario") -> Scenario:
         tokens = stripped.split()
         if tokens[0] != "robot":
             raise ScenarioError(f"expected 'robot' line, got {stripped!r}", line)
-        task = _parse_robot_line(tokens, line)
         try:
+            task = _parse_robot_line(tokens)
             _check_task(grid, task, ids)
         except ValueError as exc:
             raise ScenarioError(str(exc), line) from None
@@ -257,13 +260,17 @@ def load_scenario(text: str, name: str = "scenario") -> Scenario:
     return Scenario(name, grid, tuple(tasks))
 
 
+_MAP_CHARS = bytes.maketrans(b"\x00\x01", (_BLOCKED_CHAR + _FREE_CHAR).encode())
+
+
 def _render_grid(grid: GridMap, marks=None) -> str:
-    """Map rows joined by newlines: `marks[cell]` where given, else '#'/'.'."""
-    marks = marks or {}
-    return "\n".join(
-        "".join(marks.get(Cell(x, y), _BLOCKED_CHAR if Cell(x, y) in grid.blocked else _FREE_CHAR)
-                for x in range(grid.width))
-        for y in range(grid.height))
+    """Map rows joined by newlines: `marks[cell]` where given (on-grid cells only), else '#'/'.'."""
+    w = grid.width + 2
+    rows = [list(grid._mask[y * w + 1:y * w + w - 1].translate(_MAP_CHARS).decode())
+            for y in range(1, grid.height + 1)]
+    for (x, y), mark in (marks or {}).items():
+        rows[y][x] = mark
+    return "\n".join(map("".join, rows))
 
 
 def render_scenario(scenario: Scenario) -> str:
@@ -271,11 +278,8 @@ def render_scenario(scenario: Scenario) -> str:
     grid = scenario.grid
     out = [f"map {grid.width} {grid.height}", _render_grid(grid)]
     for task in scenario.tasks:
-        parts = [f"robot {task.robot_id} start {task.start.x},{task.start.y}"]
-        if task.waypoints:
-            parts.append("via " + ";".join(f"{w.x},{w.y}" for w in task.waypoints))
-        parts.append(f"goal {task.goal.x},{task.goal.y}")
-        out.append(" ".join(parts))
+        via = f" via {';'.join(map(str, task.waypoints))}" if task.waypoints else ""
+        out.append(f"robot {task.robot_id} start {task.start}{via} goal {task.goal}")
     return "\n".join(out) + "\n"
 
 

@@ -157,6 +157,14 @@ def scan_collisions(timelines):
     return events
 
 
+def naive_render(grid, marks):
+    """Map text built one cell at a time: the cell's mark, else '#' for a
+    blocked cell, else '.'."""
+    return "\n".join(
+        "".join(marks.get(Cell(x, y), "#" if Cell(x, y) in grid.blocked else ".") for x in range(grid.width))
+        for y in range(grid.height))
+
+
 def random_walk_timeline(grid, rng, robot_id, horizon):
     """A lawful random timeline: starts anywhere free, may wait or step."""
     from perfplan.executor import Timeline

@@ -202,6 +202,20 @@ class TestAssign:
         assert main(["assign", "warehouse", "--tasks", "21;14,19"]) == 1
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tasks, token", [("1,2;3", "3"), ("a,b;1,1", "a,b"), ("1,2;", "")])
+    def test_bad_task_item_is_named(self, capsys, tasks, token):
+        # An empty item is a bad cell, as in a scenario file's via list.
+        assert main(["assign", "room", "--tasks", tasks]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot parse --tasks: expected cell as <x>,<y>, got {token!r}\n"
+
+    def test_blocked_task_cell_is_written_as_typed(self, capsys):
+        assert main(["assign", "room", "--tasks", "14,10;27,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cell 14,10 is blocked or out of range\n"
+
 
 def _readme_usage_lines():
     text = (Path(__file__).parents[1] / "README.md").read_text()

@@ -210,6 +210,18 @@ class TestScenarioParsing:
             load_scenario(text)
         assert exc.value.line == bad_line
 
+    @pytest.mark.parametrize("line, token", [
+        ("robot 1 start 1,2;3,4 goal 1,0", "1,2;3,4"),  # a via list where one cell belongs
+        ("robot 1 start 0,0 goal 1", "1"),
+        ("robot 1 start 0,0 goal 1,0,0", "1,0,0"),
+        ("robot 1 start 0,0 goal 1.5,0", "1.5,0"),
+        ("robot 1 start 0,0 via 1,0; goal 2,0", ""),  # an empty via item
+    ])
+    def test_bad_cell_token_is_named_with_its_line(self, line, token):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(f"map 3 1\n...\n{line}\n")
+        assert str(exc.value) == f"line 3: expected cell as <x>,<y>, got {token!r}"
+
     def test_comments_and_blanks_skipped_outside_map(self):
         text = "\n# header comment\n\nmap 2 2\n..\n..\n\n# between\nrobot 1 start 0,0 goal 1,1\n"
         sc = load_scenario(text)
@@ -220,6 +232,12 @@ class TestScenarioParsing:
         text = "map 2 2\n##\n..\nrobot 1 start 0,1 goal 1,1\n"
         sc = load_scenario(text)
         assert sc.grid.blocked == frozenset({Cell(0, 0), Cell(1, 0)})
+
+
+class TestCellText:
+    def test_str_is_the_file_syntax_and_repr_is_unchanged(self):
+        assert str(Cell(1, 0)) == f"{Cell(1, 0)}" == "1,0"
+        assert repr(Cell(1, 0)) == "Cell(x=1, y=0)"
 
 
 class TestBuiltins:

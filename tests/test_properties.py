@@ -12,7 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import bfs_distance, brute_force_assignment, reference_astar, scan_collisions  # noqa: E402
+from oracles import (  # noqa: E402
+    bfs_distance,
+    brute_force_assignment,
+    naive_render,
+    reference_astar,
+    scan_collisions,
+)
 from perfplan.assignment import CostMatrix, build_cost_matrix, hungarian, unreachable_sentinel  # noqa: E402
 from perfplan.executor import detect_collisions, path_to_timeline  # noqa: E402
 from perfplan.gridworld import (  # noqa: E402
@@ -21,6 +27,8 @@ from perfplan.gridworld import (  # noqa: E402
     RobotTask,
     Scenario,
     ScenarioError,
+    _parse_cell,
+    _render_grid,
     load_scenario,
     render_scenario,
 )
@@ -100,6 +108,12 @@ def test_invalid_task_is_rejected_alike_from_text_and_objects(scenario, data):
     assert str(from_text.value) == f"line {len(lines) + 1}: {from_object.value}"
 
 
+@SETTINGS
+@given(st.builds(Cell, st.integers(), st.integers()))
+def test_cell_text_round_trips(cell):
+    assert _parse_cell(str(cell)) == cell
+
+
 def _matrices(values):
     return st.integers(1, 6).flatmap(
         lambda n: st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -126,6 +140,14 @@ def grids(draw, max_side=8):
     cells = [Cell(x, y) for y in range(height) for x in range(width)]
     blocked = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 2))
     return GridMap(width, height, frozenset(blocked))
+
+
+@SETTINGS
+@given(grids(max_side=12), st.data())
+def test_render_grid_matches_cell_by_cell_render(grid, data):
+    marks = data.draw(st.dictionaries(st.sampled_from(grid.free_cells()), st.sampled_from("*SGV+X0123456789")))
+    assert _render_grid(grid, marks) == naive_render(grid, marks)
+    assert _render_grid(grid) == naive_render(grid, {})
 
 
 @st.composite
