@@ -17,8 +17,10 @@ outside the map block are ignored.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 
@@ -54,6 +56,10 @@ class GridMap:
     `bytes` over the grid padded by a one-cell border, with cell (x, y) at
     `(y + 1) * (width + 2) + x + 1`, 1 where the cell is free and 0 where it
     is blocked or on the border.
+
+    `_cells` (not a field either) has one slot per mask index, `None` until
+    `_cell` first makes that index's `Cell`; every later request gets the
+    same object.
     """
 
     width: int
@@ -77,6 +83,15 @@ class GridMap:
         for x, y in cells:
             mask[(y + 1) * w + x + 1] = 0
         object.__setattr__(self, "_mask", bytes(mask))
+        object.__setattr__(self, "_cells", [None] * len(mask))
+
+    def _cell(self, i: int) -> Cell:
+        """The map's one `Cell` at padded mask index `i`, made on first request."""
+        cell = self._cells[i]
+        if cell is None:
+            w = self.width + 2
+            cell = self._cells[i] = Cell(i % w - 1, i // w - 1)
+        return cell
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
@@ -94,15 +109,12 @@ class GridMap:
         w = self.width + 2
         i = (y + 1) * w + x + 1
         mask = self._mask
-        return [Cell(nx, ny) for k, nx, ny in ((i - w, x, y - 1), (i - 1, x - 1, y), (i + 1, x + 1, y),
-                                               (i + w, x, y + 1)) if mask[k]]
+        return [self._cell(k) for k in (i - w, i - 1, i + 1, i + w) if mask[k]]
 
     def free_cells(self) -> list[Cell]:
         """All free cells in row-major order."""
-        w = self.width + 2
         mask = self._mask
-        return [Cell(x, y) for y in range(self.height)
-                for x, free in enumerate(mask[(y + 1) * w + 1:(y + 2) * w - 1]) if free]
+        return list(map(self._cell, compress(range(len(mask)), mask)))
 
 
 @dataclass(frozen=True)
@@ -169,13 +181,16 @@ class Scenario:
 # Scenario file parsing / rendering
 # ---------------------------------------------------------------------------
 
+# Only what `str(cell)` can write: no sign but '-', no blanks, no '_', ASCII digits.
+_CELL_TEXT = re.compile(r"(-?[0-9]+),(-?[0-9]+)")
+
+
 def _parse_cell(token: str) -> Cell:
     """The cell written `<x>,<y>`, as `str(cell)` writes it; ValueError otherwise."""
-    x, _, y = token.partition(",")
-    try:
-        return Cell(int(x), int(y))
-    except ValueError:
-        raise ValueError(f"expected cell as <x>,<y>, got {token!r}") from None
+    match = _CELL_TEXT.fullmatch(token)
+    if match is None:
+        raise ValueError(f"expected cell as <x>,<y>, got {token!r}")
+    return Cell(int(match[1]), int(match[2]))
 
 
 def _parse_robot_line(tokens: list[str]) -> RobotTask:
@@ -303,6 +318,7 @@ def component_labels(grid: GridMap) -> dict:
     cells enter the dict in discovery order.
     """
     w = grid.width + 2
+    cell = grid._cell
     unseen = bytearray(grid._mask)
     labels: dict[Cell, int] = {}
     label = 0
@@ -316,8 +332,7 @@ def component_labels(grid: GridMap) -> dict:
                     unseen[nb] = 0
                     queue.append(nb)
         for i in queue:
-            y, x = divmod(i, w)
-            labels[Cell(x - 1, y - 1)] = label
+            labels[cell(i)] = label
         label += 1
         first = unseen.find(1, first)
     return labels

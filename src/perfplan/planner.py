@@ -197,8 +197,9 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
                 # Built from a list, not a generator: tuple() over a generator
                 # grows the tuple by reallocation, and in a loop that keeps a few
                 # small objects per search that doubled how fast peak RSS grew.
-                cells = tuple([Cell(i % w - 1, i // w - 1) for i in reversed(path)])
-                return PlanOutcome(FOUND, cells, expansions, skipped)
+                cells, cell = grid._cells, grid._cell
+                return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in reversed(path)]),
+                                   expansions, skipped)
             open_[cur] = 0
             ng = g[cur] + 1
             carried = 0  # keys are >= 1

@@ -35,17 +35,30 @@ def bfs_distance(grid, start, goal):
     return None
 
 
+def naive_free_cells(grid):
+    """Every cell of the grid not in `grid.blocked`, in row-major order."""
+    return [Cell(x, y) for y in range(grid.height) for x in range(grid.width) if Cell(x, y) not in grid.blocked]
+
+
+def naive_neighbors(grid, cell):
+    """The on-grid cells above, left, right and below `cell` (row-major)
+    that are not in `grid.blocked`."""
+    x, y = cell
+    return [Cell(nx, ny) for nx, ny in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1))
+            if 0 <= nx < grid.width and 0 <= ny < grid.height and Cell(nx, ny) not in grid.blocked]
+
+
 def flood_labels(grid):
     """Component labels by BFS from each unlabelled free cell in row-major
-    order, over `grid.neighbors`; cells enter the dict as they are found."""
+    order, over `naive_neighbors`; cells enter the dict as they are found."""
     labels = {}
-    for cell in grid.free_cells():
+    for cell in naive_free_cells(grid):
         if cell in labels:
             continue
         labels[cell] = label = len(set(labels.values()))
         queue = deque([cell])
         while queue:
-            for nb in grid.neighbors(queue.popleft()):
+            for nb in naive_neighbors(grid, queue.popleft()):
                 if nb not in labels:
                     labels[nb] = label
                     queue.append(nb)

@@ -202,9 +202,11 @@ class TestAssign:
         assert main(["assign", "warehouse", "--tasks", "21;14,19"]) == 1
         assert "cannot parse" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tasks, token", [("1,2;3", "3"), ("a,b;1,1", "a,b"), ("1,2;", "")])
+    @pytest.mark.parametrize("tasks, token", [("1,2;3", "3"), ("a,b;1,1", "a,b"), ("1,2;", ""),
+                                              ("1,2; 3,4", " 3,4")])
     def test_bad_task_item_is_named(self, capsys, tasks, token):
-        # An empty item is a bad cell, as in a scenario file's via list.
+        # An empty item is a bad cell, as in a scenario file's via list, and
+        # so is an item padded with blanks.
         assert main(["assign", "room", "--tasks", tasks]) == 1
         out, err = capsys.readouterr()
         assert out == ""

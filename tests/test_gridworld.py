@@ -13,12 +13,14 @@ from perfplan.gridworld import (
     RobotTask,
     Scenario,
     ScenarioError,
+    _parse_cell,
     builtin_scenario,
     component_labels,
     load_scenario,
     random_endpoints,
     render_scenario,
 )
+from perfplan.planner import astar_exact
 
 OPEN_5x5 = GridMap(width=5, height=5, blocked=frozenset())
 
@@ -71,6 +73,13 @@ class TestGridMap:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "GridMap(width=3, height=2, blocked=frozenset({Cell(x=1, y=0)}))"
         assert a._mask == bytes([0] * 5 + [0, 1, 0, 1, 0] + [0, 1, 1, 1, 0] + [0] * 5)
+
+    def test_filled_cell_slots_are_not_a_field(self):
+        used = GridMap(width=3, height=2, blocked=frozenset({Cell(1, 0)}))
+        fresh = GridMap(width=3, height=2, blocked=frozenset({Cell(1, 0)}))
+        assert astar_exact(used, Cell(0, 0), Cell(2, 0)).found and any(used._cells)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and "_cells" not in repr(used)
 
     def test_neighbors_row_major_order(self):
         assert OPEN_5x5.neighbors(Cell(2, 2)) == [
@@ -238,6 +247,17 @@ class TestCellText:
     def test_str_is_the_file_syntax_and_repr_is_unchanged(self):
         assert str(Cell(1, 0)) == f"{Cell(1, 0)}" == "1,0"
         assert repr(Cell(1, 0)) == "Cell(x=1, y=0)"
+
+    @pytest.mark.parametrize("token", ["+0,0", "1_0,0", " 1,2", "1,2 ", "\u0661,2"])
+    def test_only_ascii_integers_are_read(self, token):
+        # int() would take each of these, e.g. 1_0 as 10; str(cell) writes none of them.
+        with pytest.raises(ValueError) as exc:
+            _parse_cell(token)
+        assert str(exc.value) == f"expected cell as <x>,<y>, got {token!r}"
+
+    def test_leading_zeros_and_minus_zero_keep_their_value(self):
+        assert _parse_cell("007,-0") == Cell(7, 0)
+        assert _parse_cell("-01,-10") == Cell(-1, -10)
 
 
 class TestBuiltins:

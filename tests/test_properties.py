@@ -15,6 +15,9 @@ from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     bfs_distance,
     brute_force_assignment,
+    flood_labels,
+    naive_free_cells,
+    naive_neighbors,
     naive_render,
     reference_astar,
     scan_collisions,
@@ -29,6 +32,7 @@ from perfplan.gridworld import (  # noqa: E402
     ScenarioError,
     _parse_cell,
     _render_grid,
+    component_labels,
     load_scenario,
     render_scenario,
 )
@@ -150,6 +154,25 @@ def test_render_grid_matches_cell_by_cell_render(grid, data):
     assert _render_grid(grid) == naive_render(grid, {})
 
 
+@SETTINGS
+@given(grids())
+def test_each_mask_index_has_one_shared_cell(grid):
+    w = grid.width + 2
+    for i in range(len(grid._mask)):
+        cell = grid._cell(i)
+        assert type(cell) is Cell and cell == Cell(i % w - 1, i // w - 1)
+        assert grid._cell(i) is cell
+
+
+@SETTINGS
+@given(grids(max_side=12))
+def test_cell_queries_match_naive_oracles(grid):
+    assert grid.free_cells() == naive_free_cells(grid)
+    for cell in (Cell(x, y) for y in range(grid.height) for x in range(grid.width)):
+        assert grid.neighbors(cell) == naive_neighbors(grid, cell)
+    assert list(component_labels(grid).items()) == list(flood_labels(grid).items())
+
+
 @st.composite
 def grid_queries(draw):
     """A grid of up to 8x8 with two free cells on it (equal or not, joined or not)."""
@@ -226,6 +249,8 @@ def test_found_perforated_paths_are_lawful(query, spec):
         assert out.path[0] == start and out.path[-1] == goal
         assert all(grid.is_free(cell) for cell in out.path)
         assert all(manhattan(a, b) == 1 for a, b in zip(out.path, out.path[1:]))
+        w = grid.width + 2
+        assert all(cell is grid._cell((cell.y + 1) * w + cell.x + 1) for cell in out.path)
     else:  # only a search that perforated something may miss a reachable goal
         assert out.path == ()
         assert out.skipped > 0 or bfs_distance(grid, start, goal) is None
