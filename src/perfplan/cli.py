@@ -68,7 +68,7 @@ def _cmd_plan(args) -> int:
         return 2
     print(f"robot {args.robot}: {outcome.edges} edges, "
           f"{outcome.expansions} expansions, {outcome.skipped} skipped")
-    print("path: " + " ".join(f"({c.x},{c.y})" for c in outcome.path))
+    print("path: " + " ".join(f"({c})" for c in outcome.path))
     marks = {c: "*" for c in outcome.path}
     for wp in task.waypoints:
         marks[wp] = "V"

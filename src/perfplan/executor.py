@@ -6,16 +6,18 @@ Two robots collide either by occupying one cell during the same tick (vertex)
 or by exchanging adjacent cells across a tick boundary (edge/swap); both kinds
 are reported because a head-on meeting on a grid is always one of the two.
 
-detect_collisions finds them with one of two scans chosen by robot count:
-the pair scan compares every robot pair tick by tick, O(R^2*T), and the
-per-tick scan flags colliding ticks with set operations over each tick's
-cells and moves, O(R*T). Both return the same events in the same order.
+_tick_events is the one rule that builds a tick's events: set operations
+over the tick's cells and moves flag a collision, and only then are robots
+indexed by cell and by move, O(R) per tick. detect_collisions runs it on
+every tick of a large group, and on a small one (by robot count) only on
+the ticks that the pair scan flags by comparing every robot pair tick by
+tick, O(R^2*T), which costs less there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from .gridworld import Scenario
 from .planner import NO_PERFORATION, PerforationSpec, PlanOutcome, manhattan, plan_multi_leg
@@ -79,87 +81,79 @@ def path_to_timeline(robot_id: int, path, horizon: int) -> Timeline:
     return Timeline(robot_id, tuple(cells))
 
 
-# Above this many timelines detect_collisions scans tick by tick, O(R*T);
-# at or below it, robot pair by robot pair, O(R^2*T), which costs less on
-# small groups. Microseconds per call for exact plans between random free
-# cells of the built-in warehouse map, padded to 23-35 ticks (median of 40
-# groups, best of 7 calls each; CPython 3.11, 2-core VM):
-#
-#   robots           2     4     8     9    10    12    16    32
-#   pair scan        4    18   120   184   237   351   501  2098
-#   per-tick scan   44    55   136   170   194   237   293  1024
-#
-# The two cross between 8 and 10 robots (at 9 they swapped places between
-# runs), so 9 and fewer take the pair scan.
-_PER_TICK_ROBOTS = 9
+# Above this many timelines detect_collisions builds events on every tick;
+# at or below it, only on the ticks that the pair scan flags, which costs
+# less on small groups. README "Benchmark" has the crossover measurements
+# and the single-scan designs that were slower on some group size.
+_PER_TICK_ROBOTS = 8
 
 
 def detect_collisions(timelines) -> tuple:
     """Every vertex and swap event over all robot pairs, sorted by (t, robots).
 
     Timelines must share one horizon; pad them via path_to_timeline first.
-    Groups of more than _PER_TICK_ROBOTS take the per-tick scan, smaller ones
-    the pair scan; both find the same events.
+    Groups of more than _PER_TICK_ROBOTS build events on every tick, smaller
+    ones only on the ticks that _pair_scan flags; _tick_events builds both.
     """
     tls = list(timelines)
     if len({tl.horizon for tl in tls}) > 1:
         raise ValueError("timelines have mismatched horizons; pad them first")
     tls.sort(key=lambda tl: tl.robot_id)
-    scan = _per_tick_scan if len(tls) > _PER_TICK_ROBOTS else _pair_scan
-    events = scan(tls)
+    ids = [tl.robot_id for tl in tls]
+    cols = [tl.positions for tl in tls]
+    events: list = []
+    if len(tls) > _PER_TICK_ROBOTS:
+        # Rows are taken one tick at a time, so no transposed copy is held.
+        prev = None
+        for t, cur in enumerate(zip(*cols)):
+            _tick_events(t, ids, prev, cur, events)
+            prev = cur
+    else:
+        for t in _pair_scan(cols):
+            prev = [c[t - 1] for c in cols] if t else None
+            _tick_events(t, ids, prev, [c[t] for c in cols], events)
     events.sort(key=lambda e: (e.t, e.robots, e.kind))
     return tuple(events)
 
 
-def _pair_scan(tls) -> list:
-    """Check every robot pair at every tick."""
-    events = []
-    for i in range(len(tls)):
-        for j in range(i + 1, len(tls)):
-            a, b = tls[i], tls[j]
-            pair = (a.robot_id, b.robot_id)
-            for t in range(a.horizon + 1):
-                pa, pb = a.positions[t], b.positions[t]
-                if pa == pb:
-                    events.append(CollisionEvent(t, VERTEX, pair, (pa,)))
-                elif t > 0 and pa == b.positions[t - 1] and pb == a.positions[t - 1]:
-                    events.append(CollisionEvent(t, EDGE, pair, (a.positions[t - 1], pa)))
-    return events
+def _pair_scan(cols) -> set:
+    """The ticks at which some robot pair shares a cell or swaps cells."""
+    ticks = set()
+    for a, b in combinations(cols, 2):
+        pa = pb = None
+        for t, ca, cb in zip(count(), a, b):
+            if ca == cb or (ca == pb and cb == pa):
+                ticks.add(t)
+            pa, pb = ca, cb
+    return ticks
 
 
-def _per_tick_scan(tls) -> list:
-    """Flag colliding ticks with set operations over each tick's row of
-    cells, then index only the flagged ticks by cell and by move. Rows are
-    taken one tick at a time, so no transposed copy of the timelines is held."""
-    ids = [tl.robot_id for tl in tls]
-    events = []
-    prev = None
-    for t, cur in enumerate(zip(*(tl.positions for tl in tls))):
-        # Fewer distinct cells than robots: two robots share a cell.
-        if len(set(cur)) < len(ids):
-            at_cell: dict = {}
-            for rid, cell in zip(ids, cur):
-                at_cell.setdefault(cell, []).append(rid)
-            for cell, here in at_cell.items():
-                for pair in combinations(here, 2):
-                    events.append(CollisionEvent(t, VERTEX, pair, (cell,)))
-        # A swap is a move prev -> cur whose reverse cur -> prev is also
-        # made; a stationary robot's (cell, cell) is no move.
-        if prev is not None:
-            moves = set(zip(prev, cur))
-            moves.difference_update(zip(prev, prev))
-            if not moves.isdisjoint(zip(cur, prev)):
-                movers: dict = {}
-                for rid, p, c in zip(ids, prev, cur):
-                    if p != c:
-                        movers.setdefault((p, c), []).append(rid)
-                for (p, c), forward in movers.items():
-                    for b in movers.get((c, p), ()):
-                        for a in forward:
-                            if a < b:
-                                events.append(CollisionEvent(t, EDGE, (a, b), (p, c)))
-        prev = cur
-    return events
+def _tick_events(t, ids, prev, cur, events) -> None:
+    """Append tick t's events, given every robot's cell at t - 1 (`prev`,
+    None at t = 0) and at t (`cur`), in the order of `ids`. Set operations
+    flag a collision; only then are robots indexed by cell and by move."""
+    # Fewer distinct cells than robots: two robots share a cell.
+    if len(set(cur)) < len(ids):
+        at_cell: dict = {}
+        for rid, cell in zip(ids, cur):
+            at_cell.setdefault(cell, []).append(rid)
+        for cell, here in at_cell.items():
+            for pair in combinations(here, 2):
+                events.append(CollisionEvent(t, VERTEX, pair, (cell,)))
+    # A swap is a move prev -> cur whose reverse cur -> prev is also
+    # made; a stationary robot's (cell, cell) is no move.
+    if prev is not None:
+        moves = {(p, c) for p, c in zip(prev, cur) if p != c}
+        if not moves.isdisjoint(zip(cur, prev)):
+            movers: dict = {}
+            for rid, p, c in zip(ids, prev, cur):
+                if p != c:
+                    movers.setdefault((p, c), []).append(rid)
+            for (p, c), forward in movers.items():
+                for b in movers.get((c, p), ()):
+                    for a in forward:
+                        if a < b:
+                            events.append(CollisionEvent(t, EDGE, (a, b), (p, c)))
 
 
 def simulate(scenario: Scenario, spec: PerforationSpec = NO_PERFORATION) -> SimulationReport:

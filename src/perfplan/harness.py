@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import fmean
 
 from .executor import simulate
 from .gridworld import _MAX_DRAWS, GridMap, RobotTask, Scenario, _draw_pair, component_labels, random_endpoints
@@ -152,10 +153,9 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
             stats = PathErrorStats(0.0, len(records), 0, len(records), 0.0)
         rows.append(SweepRow(
             rate=rate,
-            mean_speedup_wall=sum(r.exact_wall_time / max(r.approx_wall_time, 1e-9)
-                                  for r in records) / len(records),
-            mean_speedup_proxy=sum(speedup_proxy(r.exact_expansions, perforated_cost(
-                r.approx_expansions, r.approx_skipped)) for r in records) / len(records),
+            mean_speedup_wall=fmean(r.exact_wall_time / max(r.approx_wall_time, 1e-9) for r in records),
+            mean_speedup_proxy=fmean(speedup_proxy(r.exact_expansions, perforated_cost(
+                r.approx_expansions, r.approx_skipped)) for r in records),
             pct_len_increase=100 * stats.n_increased / stats.n_cases,
             pct_failed=100 * stats.n_failed / stats.n_cases,
             e_p=stats.e_p,
@@ -234,7 +234,7 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
             rate=rate,
             n_trials=n_trials,
             pct_collision_trials=100 * n_collision / n_trials,
-            mean_speedup_proxy=sum(proxies) / len(proxies),
+            mean_speedup_proxy=fmean(proxies),
         ))
     return rows
 

@@ -10,6 +10,7 @@ error rates rather than folded into them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import fmean
 
 # A perforated iteration queues at most one successor, and as that key is
 # carried past the heap to the next pop it usually pops nothing from the
@@ -89,7 +90,7 @@ def aggregate_error(records) -> PathErrorStats:
         raise ValueError("all cases failed; e_p is undefined on an empty Found set")
     errors = [case_error_pct(r.approx_len, r.exact_len) for r in found]
     return PathErrorStats(
-        e_p=sum(errors) / len(errors),
+        e_p=fmean(errors),
         n_cases=len(records),
         n_increased=sum(1 for e in errors if e > 0),
         n_failed=len(records) - len(found),

@@ -153,10 +153,10 @@ def _schedule(spec: PerforationSpec, extent: int | None, n: int):
 
 def _astar(grid: GridMap, start: Cell, goal: Cell,
            spec: PerforationSpec, extent: int | None) -> PlanOutcome:
-    start, goal = Cell(*start), Cell(*goal)
     for label, cell in (("start", start), ("goal", goal)):
         if not grid.is_free(cell):
-            raise ValueError(f"{label} {cell} is blocked or out of range")
+            raise ValueError(f"{label} {Cell(*cell)} is blocked or out of range")
+    (x0, y0), (x1, y1) = start, goal
 
     # Cells are indices into the grid's padded occupancy mask; the border
     # is 0, so a neighbor index never needs a bounds check. Closing a cell
@@ -165,8 +165,8 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     open_ = bytearray(grid._mask)
     n = len(open_)
     hm = grid.width + grid.height  # exceeds every h
-    gx, gy = goal.x + 1, goal.y + 1
-    src, dst = (start.y + 1) * w + start.x + 1, gy * w + gx
+    gx, gy = x1 + 1, y1 + 1
+    src, dst = (y0 + 1) * w + x0 + 1, gy * w + gx
     # Every iteration but the last closes a cell, so no index reaches n.
     runs_in_full = _schedule(spec, extent, n).__next__
     # One int heap key (f*hm + h)*n + cell orders like (f, h, y, x): ties
@@ -176,7 +176,7 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     # outside the heap and the next key is taken with heappushpop, which
     # leaves the heap alone when the carried key is the smallest: the usual
     # case for a perforated iteration, whose one key extends the probe.
-    h0 = manhattan(start, goal)
+    h0 = abs(x0 - x1) + abs(y0 - y1)
     key = (h0 * hm + h0) * n + src
     open_heap: list = []
     g = {src: 0}

@@ -132,8 +132,9 @@ class TestDetectCollisions:
             kinds_seen.update(kind for _, kind, _, _ in got)
         assert kinds_seen == {VERTEX, EDGE}
 
-    # Groups of more than _PER_TICK_ROBOTS take the per-tick scan; `parked`
-    # fills a group up to that size with robots standing still far away.
+    # Groups of more than _PER_TICK_ROBOTS run _tick_events on every tick;
+    # `parked` fills a group up to that size with robots standing still far
+    # away.
     @staticmethod
     def parked(count, horizon):
         return [path_to_timeline(100 + k, [Cell(2 * k, 50)], horizon) for k in range(count)]
@@ -172,21 +173,26 @@ class TestDetectCollisions:
         grid = GridMap(width=3, height=3, blocked=frozenset())
         group = [random_walk_timeline(grid, rng, rid, 12) for rid in range(1, _PER_TICK_ROBOTS + 1)]
         scans = []
+        pair_scan = executor._pair_scan
 
-        def spy(name):
-            scan = getattr(executor, name)
+        def counted(cols):
+            scans.append(len(cols))
+            return pair_scan(cols)
 
-            def counted(tls):
-                scans.append(name)
-                return scan(tls)
-            return counted
-
-        for name in ("_pair_scan", "_per_tick_scan"):
-            monkeypatch.setattr(executor, name, spy(name))
+        monkeypatch.setattr(executor, "_pair_scan", counted)
         events = detect_collisions(group)
         assert {e.kind for e in events} == {VERTEX, EDGE}
         assert detect_collisions(group + self.parked(1, 12)) == events
-        assert scans == ["_pair_scan", "_per_tick_scan"]
+        assert scans == [_PER_TICK_ROBOTS]
+
+    # Either side of the threshold, by moving the threshold: 0 sends every
+    # group through the per-tick path, 10**6 every group through the pair
+    # scan's tick filter.
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_both_paths_match_exhaustive_scan_on_fixture_corpus(self, monkeypatch, threshold):
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        for timelines in collision_fixtures(60, seed=424242):
+            assert as_tuples(detect_collisions(timelines)) == scan_collisions(timelines)
 
 
 class TestSimulate:

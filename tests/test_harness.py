@@ -77,6 +77,12 @@ class TestSweep:
         kw = dict(rates=[Fraction(1, 5), Fraction(3, 4)], n_cases=8, measure_wall=False)
         assert sweep(WAREHOUSE.grid, **kw) == sweep(WAREHOUSE.grid, **kw)
 
+    def test_mean_is_the_same_on_every_interpreter(self):
+        # Pinned to the last digit: a plain float sum gives ...687 before
+        # CPython 3.12 and ...69 after it; fmean gives ...69 on all of them.
+        row, = sweep(WAREHOUSE.grid, rates=[Fraction(1, 5)], n_cases=20, seed=9, measure_wall=False)
+        assert row.mean_speedup_proxy == 1.139454404818469
+
     def test_low_rates_are_harmless_at_default_seed(self):
         # Frozen-seed regression pin: the first three ladder rates cause no
         # failures and no detours on the default 20-case warehouse set.
@@ -147,6 +153,11 @@ class TestCollisionStudy:
     def test_deterministic(self):
         kw = dict(rates=[Fraction(3, 4)], n_trials=6, seed=DEFAULT_SEED)
         assert collision_study(WAREHOUSE, **kw) == collision_study(WAREHOUSE, **kw)
+
+    def test_mean_is_the_same_on_every_interpreter(self):
+        # As for the sweep: a plain float sum gives ...6906 before CPython 3.12.
+        row, = collision_study(WAREHOUSE, rates=[Fraction(3, 4)], n_trials=100, seed=9)
+        assert row.mean_speedup_proxy == 2.025935297283692
 
     def test_three_quarters_rate_produces_collisions_somewhere(self):
         # Individually clean perforated paths do interfere in at least one of

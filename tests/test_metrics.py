@@ -85,6 +85,12 @@ class TestAggregateError:
         with pytest.raises(ValueError, match="failed"):
             aggregate_error([record(0, 10, None), record(1, 8, None)])
 
+    def test_mean_is_exactly_rounded_on_every_interpreter(self):
+        # The plain float sum of these errors rounds differently before and
+        # after CPython 3.12; fmean sums them exactly on every version.
+        stats = aggregate_error([record(0, 3, 4), record(1, 3, 6), record(2, 7, 9)])
+        assert stats.e_p == 53.96825396825397
+
     def test_scale_invariance(self):
         a = aggregate_error([record(0, 10, 11)])
         b = aggregate_error([record(0, 20, 22)])
