@@ -10,9 +10,13 @@ is a free neighbor of a visited cell, so found paths are always obstacle-free
 and step-adjacent at any rate; at extreme rates the probe can dead-end and
 the search may legally fail.
 
-The smallest key an iteration queues is carried past the heap to the next
-pop, so a perforated iteration, whose one key is usually the probe's next
-cell, mostly runs without a heap operation.
+The smallest key an iteration queues is carried past the heap. While it is
+below every key in the heap, the next iteration takes its cell directly, so
+the search chains from iteration to iteration without a heap operation; a
+perforated step, whose one key usually extends the probe, also carries the
+probe's coordinates and heuristic along the chain. Only when the heap holds
+a smaller key does the carried one go through the heap. Pop order, and with
+it every path and counter, is that of a search that queues every key.
 """
 
 from __future__ import annotations
@@ -137,8 +141,12 @@ class PlanOutcome:
 
 
 @lru_cache(maxsize=64)
-def _modulo_pattern(spec: PerforationSpec, length: int) -> bytes:
-    """`perforation_schedule(spec, i)` for each i < length, one byte each."""
+def _modulo_pattern(skip: int, window: int, length: int) -> bytes:
+    """The modulo schedule of skip/window for each i < length, one byte each.
+
+    Keyed by ints: hashing a 3-int tuple costs a quarter of hashing a spec.
+    """
+    spec = PerforationSpec(MODULO, skip, window)
     return bytes([perforation_schedule(spec, i) for i in range(length)])
 
 
@@ -147,7 +155,7 @@ def _schedule(spec: PerforationSpec, extent: int | None, n: int):
     if spec.skip == 0:
         return repeat(True)
     if spec.mode == MODULO:
-        return cycle(_modulo_pattern(spec, min(spec.window, n)))
+        return cycle(_modulo_pattern(spec.skip, spec.window, min(spec.window, n)))
     return map(perforation_schedule, repeat(spec), count(), repeat(extent))
 
 
@@ -172,81 +180,106 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     # One int heap key (f*hm + h)*n + cell orders like (f, h, y, x): ties
     # broken by lower h, then row-major cell. Keys are unique (a cell is
     # re-queued only with a lower g), so the pop order depends only on the
-    # set of queued keys. The smallest key queued in an iteration is carried
-    # outside the heap and the next key is taken with heappushpop, which
-    # leaves the heap alone when the carried key is the smallest: the usual
-    # case for a perforated iteration, whose one key extends the probe.
-    h0 = abs(x0 - x1) + abs(y0 - y1)
-    key = (h0 * hm + h0) * n + src
+    # set of queued keys. The smallest key an iteration queues is carried
+    # past the heap: while it is below the heap's smallest key (`top`), the
+    # next iteration takes its cell directly, which is open and has g = ng,
+    # so a run of such iterations (a chain) makes no heap call at all.
+    # Otherwise heappushpop queues it and takes the heap's smallest key.
+    # A g is below n (a cell is queued only then), so every key is below
+    # `bound`, which stands for the top of an empty heap.
+    bound = (n + hm) * hm * n
+    top = bound
     open_heap: list = []
     g = {src: 0}
     came_from: dict = {}
     expansions = 0
     skipped = 0
     pop, push, pushpop = heapq.heappop, heapq.heappush, heapq.heappushpop
+    cur, ng = src, 1
+    # x, y (padded) and h always belong to `probe`, the cell a perforated
+    # step last decoded or moved the probe to, so a chain of perforated
+    # steps decodes no cell. Index 0 is border: no iteration is there.
+    probe = 0
 
     while True:
-        cur = key % n
-        if open_[cur]:  # else a stale heap entry, not a main-loop iteration
-            if cur == dst:
-                expansions += 1
-                path = [cur]
-                while cur in came_from:
-                    cur = came_from[cur]
-                    path.append(cur)
-                # Built from a list, not a generator: tuple() over a generator
-                # grows the tuple by reallocation, and in a loop that keeps a few
-                # small objects per search that doubled how fast peak RSS grew.
-                cells, cell = grid._cells, grid._cell
-                return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in reversed(path)]),
-                                   expansions, skipped)
-            open_[cur] = 0
-            ng = g[cur] + 1
-            carried = 0  # keys are >= 1
-            if runs_in_full():
-                expansions += 1
-                for nb in (cur - w, cur - 1, cur + 1, cur + w):  # row-major
-                    if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
-                        g[nb] = ng
-                        came_from[nb] = cur
-                        y, x = divmod(nb, w)
-                        hn = abs(x - gx) + abs(y - gy)
-                        k = ((ng + hn) * hm + hn) * n + nb
-                        if not carried:
-                            carried = k
-                        elif k < carried:
-                            push(open_heap, carried)
-                            carried = k
-                        else:
-                            push(open_heap, k)
-            else:
-                skipped += 1
-                # Degraded expansion: queue only the most promising successor,
-                # the first open neighbor (row-major) with the lowest h. A
-                # neighbor's h is the current h - 1 if the step goes toward
-                # the goal and + 1 if not, so that is the first open neighbor
-                # toward the goal, else the first open one.
+        # cur is open and its g is ng - 1.
+        if cur == dst:
+            expansions += 1
+            path = [cur]
+            while cur in came_from:
+                cur = came_from[cur]
+                path.append(cur)
+            # Built from a list, not a generator: tuple() over a generator
+            # grows the tuple by reallocation, and in a loop that keeps a few
+            # small objects per search that doubled how fast peak RSS grew.
+            cells, cell = grid._cells, grid._cell
+            return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in reversed(path)]),
+                               expansions, skipped)
+        open_[cur] = 0
+        carried = 0  # keys are >= 1
+        if runs_in_full():
+            expansions += 1
+            for nb in (cur - w, cur - 1, cur + 1, cur + w):  # row-major
+                if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
+                    g[nb] = ng
+                    came_from[nb] = cur
+                    yn, xn = divmod(nb, w)
+                    hn = abs(xn - gx) + abs(yn - gy)
+                    k = ((ng + hn) * hm + hn) * n + nb
+                    if not carried:
+                        carried, nxt = k, nb
+                    elif k < carried:
+                        push(open_heap, carried)
+                        carried, nxt = k, nb
+                    else:
+                        push(open_heap, k)
+            if open_heap:  # the heap grows only here
+                top = open_heap[0]
+        else:
+            skipped += 1
+            if cur != probe:
+                probe = cur
                 y, x = divmod(cur, w)
-                best, toward = 0, False
-                if open_[cur - w]:
-                    best, toward = cur - w, y > gy
-                if not toward and open_[cur - 1] and (x > gx or not best):
-                    best, toward = cur - 1, x > gx
-                if not toward and open_[cur + 1] and (x < gx or not best):
-                    best, toward = cur + 1, x < gx
-                if not toward and open_[cur + w] and (y < gy or not best):
-                    best, toward = cur + w, y < gy
-                if best and ng < g.get(best, n):
-                    g[best] = ng
-                    came_from[best] = cur
-                    hn = abs(x - gx) + abs(y - gy) + (-1 if toward else 1)
-                    carried = ((ng + hn) * hm + hn) * n + best
-            if carried:
-                key = pushpop(open_heap, carried)
+                h = abs(x - gx) + abs(y - gy)
+            # Degraded expansion: queue only the most promising successor,
+            # the first open neighbor (row-major) with the lowest h. A step
+            # toward the goal lowers h by 1 and any other raises it by 1, so
+            # that is the first open neighbor toward the goal, else the
+            # first open one.
+            if y > gy and open_[cur - w]:
+                probe, y, h = cur - w, y - 1, h - 1
+            elif x > gx and open_[cur - 1]:
+                probe, x, h = cur - 1, x - 1, h - 1
+            elif x < gx and open_[cur + 1]:
+                probe, x, h = cur + 1, x + 1, h - 1
+            elif y < gy and open_[cur + w]:
+                probe, y, h = cur + w, y + 1, h - 1
+            elif open_[cur - w]:
+                probe, y, h = cur - w, y - 1, h + 1
+            elif open_[cur - 1]:
+                probe, x, h = cur - 1, x - 1, h + 1
+            elif open_[cur + 1]:
+                probe, x, h = cur + 1, x + 1, h + 1
+            elif open_[cur + w]:
+                probe, y, h = cur + w, y + 1, h + 1
+            if probe != cur and ng < g.get(probe, n):
+                g[probe] = ng
+                came_from[probe] = cur
+                carried, nxt = ((ng + h) * hm + h) * n + probe, probe
+        if carried:
+            if carried < top:
+                cur = nxt
+                ng += 1
                 continue
-        if not open_heap:
-            return PlanOutcome(NOT_FOUND, (), expansions, skipped)
-        key = pop(open_heap)
+            cur = pushpop(open_heap, carried) % n
+        else:
+            cur = 0  # a border index, never open: the loop below pops
+        while not open_[cur]:  # nothing queued, or a stale heap entry
+            if not open_heap:
+                return PlanOutcome(NOT_FOUND, (), expansions, skipped)
+            cur = pop(open_heap) % n
+        ng = g[cur] + 1
+        top = open_heap[0] if open_heap else bound
 
 
 def astar_exact(grid: GridMap, start: Cell, goal: Cell) -> PlanOutcome:

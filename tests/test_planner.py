@@ -324,6 +324,66 @@ class TestPerforatedAstar:
             assert out == _astar(WAREHOUSE, start, goal, spec, None)
 
 
+def _seeded_query(seed):
+    """A grid of 4x4 to 8x8, about 30% blocked, and two free cells on it."""
+    rng = random.Random(seed)
+    w, h = rng.randint(4, 8), rng.randint(4, 8)
+    grid = GridMap(w, h, frozenset((x, y) for y in range(h) for x in range(w) if rng.random() < 0.3))
+    free = grid.free_cells()
+    return grid, rng.choice(free), rng.choice(free)
+
+
+def _search_events(monkeypatch, grid, start, goal, spec):
+    """Run `_astar` and return its outcome and what it did, in order: "F"
+    or "P" for each schedule draw (full or perforated iteration), and
+    "push", "pop" or "pushpop" for each heap call; "pushpop" becomes
+    "pushpop back" if it hands back the key it was given."""
+    events = []
+
+    def spy(name):
+        fn = getattr(heapq, name)
+
+        def call(*args):
+            out = fn(*args)
+            events.append(name[4:] + (" back" if out == args[-1] else ""))
+            return out
+        return call
+
+    schedule = planner._schedule
+    monkeypatch.setattr(planner, "_schedule", lambda *args: (
+        events.append("F" if full else "P") or full for full in schedule(*args)))
+    monkeypatch.setattr(planner, "heapq", SimpleNamespace(
+        heappush=spy("heappush"), heappop=spy("heappop"), heappushpop=spy("heappushpop")))
+    out = _astar(grid, start, goal, spec, None)
+    monkeypatch.undo()
+    return out, events
+
+
+def _chain_ends(out, events):
+    """The ways a chain of iterations ended in a search, read off its events.
+
+    After an iteration that queued a key, the search either chains (the
+    next event is that iteration's draw) or calls heappushpop, which
+    returns the heap's top: a stale top is followed by a pop, a live one by
+    its iteration's draw or by the end at the goal. An iteration that
+    queued nothing is followed by a pop at once."""
+    ends = set()
+    for event, after in zip(events, events[1:] + ["end"]):
+        if event == "pushpop":
+            ends.add("heap top below the carried key, " + ("stale" if after == "pop" else "live"))
+    # The goal is reached by a chain when an iteration runs after the last
+    # key taken from the heap.
+    taken = [i + 1 for i, event in enumerate(events) if event in ("pop", "pushpop")]
+    if out.found and {"F", "P"} & set(events[taken[-1] if taken else 0:]):
+        ends.add("chained onto the goal")
+    text = " ".join(events)
+    if "P P pop" in text:
+        ends.add("perforated step mid-run queues nothing")
+    if "F pop" in text:
+        ends.add("full iteration queues nothing")
+    return ends
+
+
 _RNG = random.Random(40)
 REFERENCE_GRIDS = {
     "warehouse": WAREHOUSE,
@@ -369,26 +429,36 @@ class TestKernelMatchesReference:
 
     def test_carried_key_keeps_a_straight_run_off_the_heap(self, monkeypatch):
         # Down an open corridor each iteration's smallest key is the next
-        # cell toward the goal, so heappushpop hands the carried key straight
-        # back, exact or perforated, and nothing is popped from the heap.
-        taken = []
-
-        def pushpop(heap, key):
-            out = heapq.heappushpop(heap, key)
-            taken.append(out == key)
-            return out
-
-        def pop(heap):
-            raise AssertionError("popped from the heap")
-
-        monkeypatch.setattr(planner, "heapq", SimpleNamespace(
-            heappush=heapq.heappush, heappop=pop, heappushpop=pushpop))
+        # cell toward the goal and lies below every queued key, so the
+        # search chains from start to goal: nothing is taken from the heap,
+        # exact or perforated. The only heap calls are the pushes of the
+        # two side cells that each full iteration queues.
         grid = GridMap(30, 5, frozenset())
         for spec in (NO_PERFORATION, PerforationSpec(MODULO, 22, 25)):
-            taken.clear()
-            out = _astar(grid, Cell(0, 2), Cell(29, 2), spec, None)
+            out, events = _search_events(monkeypatch, grid, Cell(0, 2), Cell(29, 2), spec)
             assert out.edges == 29 and out.expansions + out.skipped == 30
-            assert taken == [True] * 29
+            assert set(events) <= {"F", "P", "push"}
+            assert events.count("push") == 2 * events.count("F") == 2 * (out.expansions - 1)
+
+    # Seeded queries (see _seeded_query) on which a chain ends each way.
+    @pytest.mark.parametrize("end, seed, skip, window", [
+        ("heap top below the carried key, live", 5, 0, 1),
+        ("heap top below the carried key, live", 5, 3, 4),
+        ("heap top below the carried key, stale", 8, 0, 1),
+        ("heap top below the carried key, stale", 197, 3, 4),
+        ("chained onto the goal", 39, 0, 1),
+        ("chained onto the goal", 39, 3, 4),
+        ("perforated step mid-run queues nothing", 12, 3, 4),
+        ("full iteration queues nothing", 4, 0, 1),
+    ])
+    def test_each_way_a_chain_ends_matches_the_reference(self, monkeypatch, end, seed, skip, window):
+        grid, start, goal = _seeded_query(seed)
+        spec = PerforationSpec(MODULO, skip, window)
+        out, events = _search_events(monkeypatch, grid, start, goal, spec)
+        assert end in _chain_ends(out, events)
+        assert out == reference_astar(grid, start, goal, spec, None)
+        # The carried key goes through the heap only below a smaller key.
+        assert "pushpop back" not in events
 
     def test_window_larger_than_the_grid(self):
         # The modulo pattern is cut at the mask size, which no iteration

@@ -263,8 +263,16 @@ def test_rate_zero_is_exact_astar_in_every_mode(query, spec):
     assert astar_perforated(grid, start, goal, spec) == astar_exact(grid, start, goal)
 
 
+def long_run_specs():
+    """Windows of 4 to 60 with skip within 3 of the window, in every mode,
+    so that modulo runs of perforated iterations reach up to 59 steps."""
+    return st.builds(
+        lambda mode, seed, window, gap: PerforationSpec(mode, window - gap, window, seed=seed),
+        st.sampled_from(MODES), st.integers(0, 2**16), st.integers(4, 60), st.integers(1, 3))
+
+
 @SEARCH_SETTINGS
-@given(grid_queries(), perforation_specs())
+@given(st.one_of(grid_queries(), corridor_queries()), st.one_of(perforation_specs(), long_run_specs()))
 def test_kernel_matches_reference_search(query, spec):
     grid, start, goal = query
     extent = reference_astar(grid, start, goal, None, None).expansions if spec.mode == TRUNCATION else None
