@@ -16,8 +16,8 @@ from statistics import fmean
 # carried past the heap to the next pop it usually pops nothing from the
 # heap either. The deterministic work proxy charges it a quarter of a full
 # expansion. That is a modelled convention, applied everywhere: on the clock
-# a perforated iteration still costs 0.60-0.73 of a full one (per-workload
-# medians, README "Benchmark"), so the proxy overstates what it saves.
+# a perforated iteration costs more than that (README "Benchmark" gives the
+# measured ratio per workload), so the proxy overstates what it saves.
 SKIP_POP_COST = 0.25
 
 

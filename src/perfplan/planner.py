@@ -12,9 +12,11 @@ the search may legally fail.
 
 The smallest key an iteration queues is carried past the heap. While it is
 below every key in the heap, the next iteration takes its cell directly, so
-the search chains from iteration to iteration without a heap operation; a
-perforated step, whose one key usually extends the probe, also carries the
-probe's coordinates and heuristic along the chain. Only when the heap holds
+the search chains from iteration to iteration without a heap operation. The
+carried cell's coordinates and heuristic go with it, from a full iteration
+or a perforated step alike, so only a cell taken from the heap is decoded.
+Each neighbor's heuristic is the current one plus or minus 1: on a 4-grid a
+step changes the Manhattan distance by exactly one. Only when the heap holds
 a smaller key does the carried one go through the heap. Pop order, and with
 it every path and counter, is that of a search that queues every key.
 """
@@ -196,9 +198,11 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     skipped = 0
     pop, push, pushpop = heapq.heappop, heapq.heappush, heapq.heappushpop
     cur, ng = src, 1
-    # x, y (padded) and h always belong to `probe`, the cell a perforated
-    # step last decoded or moved the probe to, so a chain of perforated
-    # steps decodes no cell. Index 0 is border: no iteration is there.
+    # x, y (padded) and h always belong to `probe`: the cell that an
+    # iteration last decoded, or that a full iteration or a perforated step
+    # last handed them off to. A chained cell arrives with them, so a chain
+    # decodes no cell, full or perforated. Index 0 is border: no iteration
+    # is there.
     probe = 0
 
     while True:
@@ -216,36 +220,75 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
             return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in reversed(path)]),
                                expansions, skipped)
         open_[cur] = 0
-        carried = 0  # keys are >= 1
+        if cur != probe:  # taken from the heap: the only decode
+            probe = cur
+            y, x = divmod(cur, w)
+            h = abs(x - gx) + abs(y - gy)
+        # x, y and h are cur's. A step toward the goal lowers h by 1 and
+        # any other raises it by 1, so each neighbor's h is h - 1 or h + 1.
         if runs_in_full():
             expansions += 1
-            for nb in (cur - w, cur - 1, cur + 1, cur + w):  # row-major
-                if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
-                    g[nb] = ng
-                    came_from[nb] = cur
-                    yn, xn = divmod(nb, w)
-                    hn = abs(xn - gx) + abs(yn - gy)
-                    k = ((ng + hn) * hm + hn) * n + nb
-                    if not carried:
-                        carried, nxt = k, nb
-                    elif k < carried:
-                        push(open_heap, carried)
-                        carried, nxt = k, nb
-                    else:
-                        push(open_heap, k)
+            # The four neighbors, unrolled in row-major order. The first
+            # one queued is carried; a smaller key queued later displaces
+            # it into the heap. The carried cell's x, y and h go with it.
+            nb = cur - w
+            if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
+                g[nb] = ng
+                came_from[nb] = cur
+                hn = h - 1 if y > gy else h + 1
+                carried, nxt, cx, cy, ch = ((ng + hn) * hm + hn) * n + nb, nb, x, y - 1, hn
+            else:
+                carried = 0  # keys are >= 1
+            nb = cur - 1
+            if open_[nb] and ng < g.get(nb, n):
+                g[nb] = ng
+                came_from[nb] = cur
+                hn = h - 1 if x > gx else h + 1
+                k = ((ng + hn) * hm + hn) * n + nb
+                if not carried:
+                    carried, nxt, cx, cy, ch = k, nb, x - 1, y, hn
+                elif k < carried:
+                    push(open_heap, carried)
+                    carried, nxt, cx, cy, ch = k, nb, x - 1, y, hn
+                else:
+                    push(open_heap, k)
+            nb = cur + 1
+            if open_[nb] and ng < g.get(nb, n):
+                g[nb] = ng
+                came_from[nb] = cur
+                hn = h - 1 if x < gx else h + 1
+                k = ((ng + hn) * hm + hn) * n + nb
+                if not carried:
+                    carried, nxt, cx, cy, ch = k, nb, x + 1, y, hn
+                elif k < carried:
+                    push(open_heap, carried)
+                    carried, nxt, cx, cy, ch = k, nb, x + 1, y, hn
+                else:
+                    push(open_heap, k)
+            nb = cur + w
+            if open_[nb] and ng < g.get(nb, n):
+                g[nb] = ng
+                came_from[nb] = cur
+                hn = h - 1 if y < gy else h + 1
+                k = ((ng + hn) * hm + hn) * n + nb
+                if not carried:
+                    carried, nxt, cx, cy, ch = k, nb, x, y + 1, hn
+                elif k < carried:
+                    push(open_heap, carried)
+                    carried, nxt, cx, cy, ch = k, nb, x, y + 1, hn
+                else:
+                    push(open_heap, k)
             if open_heap:  # the heap grows only here
                 top = open_heap[0]
+            if carried:  # hand the carried cell's x, y and h to probe
+                probe, x, y, h = nxt, cx, cy, ch
         else:
             skipped += 1
-            if cur != probe:
-                probe = cur
-                y, x = divmod(cur, w)
-                h = abs(x - gx) + abs(y - gy)
+            carried = 0
             # Degraded expansion: queue only the most promising successor,
-            # the first open neighbor (row-major) with the lowest h. A step
-            # toward the goal lowers h by 1 and any other raises it by 1, so
-            # that is the first open neighbor toward the goal, else the
-            # first open one.
+            # the first open neighbor (row-major) with the lowest h: the
+            # first open one toward the goal, else the first open one. The
+            # probe moves there with its x, y and h.
             if y > gy and open_[cur - w]:
                 probe, y, h = cur - w, y - 1, h - 1
             elif x > gx and open_[cur - 1]:

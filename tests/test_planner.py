@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -333,17 +334,20 @@ def _seeded_query(seed):
     return grid, rng.choice(free), rng.choice(free)
 
 
-def _search_events(monkeypatch, grid, start, goal, spec):
+def _search_events(monkeypatch, grid, start, goal, spec, handed=None):
     """Run `_astar` and return its outcome and what it did, in order: "F"
     or "P" for each schedule draw (full or perforated iteration), and
     "push", "pop" or "pushpop" for each heap call; "pushpop" becomes
-    "pushpop back" if it hands back the key it was given."""
+    "pushpop back" if it hands back the key it was given. Each key handed
+    to the heap is appended to `handed`, if given."""
     events = []
 
     def spy(name):
         fn = getattr(heapq, name)
 
         def call(*args):
+            if handed is not None and name != "heappop":
+                handed.append(args[-1])
             out = fn(*args)
             events.append(name[4:] + (" back" if out == args[-1] else ""))
             return out
@@ -459,6 +463,43 @@ class TestKernelMatchesReference:
         assert out == reference_astar(grid, start, goal, spec, None)
         # The carried key goes through the heap only below a smaller key.
         assert "pushpop back" not in events
+
+    def test_displaced_carried_key_chains_into_a_perforated_step(self, monkeypatch):
+        # Map: open 5x6, S = (1, 0), G = (2, 4). At 1/2 iteration 0 runs in
+        # full at S. It queues (0, 0) first (h 6) and carries it; (2, 0)
+        # (h 4) has a smaller key and displaces it into the heap; (1, 1)
+        # ties (2, 0) on f and h but comes later, so it is pushed. The
+        # search chains to (2, 0), and iteration 1 is perforated there on
+        # the x, y and h that iteration 0 handed off: with x = goal x it
+        # steps down, where an x off by one would step sideways.
+        grid = GridMap(5, 6, frozenset())
+        start, goal, spec = Cell(1, 0), Cell(2, 4), PerforationSpec(MODULO, 1, 2)
+        handed = []
+        out, events = _search_events(monkeypatch, grid, start, goal, spec, handed)
+        n, w = len(grid._mask), grid.width + 2
+        assert events[:4] == ["F", "push", "push", "P"]
+        assert [k % n for k in handed[:2]] == [1 * w + 1, 2 * w + 2]  # (0, 0), then (1, 1)
+        assert out == reference_astar(grid, start, goal, spec, None)
+        assert out.path[:3] == (Cell(1, 0), Cell(2, 0), Cell(2, 1))
+
+    # Seeded queries (see _seeded_query) on which an iteration runs on x, y
+    # and h it did not decode itself, or on a cell that must be decoded,
+    # each found by its pattern in the search's events.
+    @pytest.mark.parametrize("pattern, seed, skip, window", [
+        (r"\bF( push)* P", 46, 1, 2),  # a full iteration chains into a perforated step
+        (r"\bF( push)* P", 155, 1, 2),
+        (r"\b(pop|pushpop) P", 75, 1, 2),  # a cell from the heap runs perforated
+        (r"\b(pop|pushpop) P", 76, 1, 2),
+        (r"\b(pop|pushpop) F", 95, 0, 1),  # a cell from the heap runs in full
+        (r"\b(pop|pushpop) F", 136, 0, 1),
+    ])
+    def test_handed_off_and_decoded_cells_match_the_reference(self, monkeypatch, pattern,
+                                                               seed, skip, window):
+        grid, start, goal = _seeded_query(seed)
+        spec = PerforationSpec(MODULO, skip, window)
+        out, events = _search_events(monkeypatch, grid, start, goal, spec)
+        assert re.search(pattern, " ".join(events))
+        assert out == reference_astar(grid, start, goal, spec, None)
 
     def test_window_larger_than_the_grid(self):
         # The modulo pattern is cut at the mask size, which no iteration

@@ -4,7 +4,9 @@ They back the seeded example tests with generated inputs; the module is
 skipped when hypothesis (the `test` extra) is not installed.
 """
 
+import heapq
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from oracles import (  # noqa: E402
     bfs_distance,
     brute_force_assignment,
@@ -36,8 +39,10 @@ from perfplan.gridworld import (  # noqa: E402
     load_scenario,
     render_scenario,
 )
+from perfplan import planner  # noqa: E402
 from perfplan.planner import (  # noqa: E402
     MODES,
+    NO_PERFORATION,
     TRUNCATION,
     PerforationSpec,
     _astar,
@@ -277,6 +282,51 @@ def test_kernel_matches_reference_search(query, spec):
     grid, start, goal = query
     extent = reference_astar(grid, start, goal, None, None).expansions if spec.mode == TRUNCATION else None
     assert _astar(grid, start, goal, spec, extent) == reference_astar(grid, start, goal, spec, extent)
+
+
+@st.composite
+def aligned_queries(draw, queries):
+    """A query from `queries` whose goal is redrawn to share the start's row
+    or column, so the search runs along x == goal x or y == goal y, where
+    a step either way moves away from the goal."""
+    grid, start, _ = draw(queries)
+    return grid, start, draw(st.sampled_from(
+        [c for c in grid.free_cells() if c.x == start.x or c.y == start.y]))
+
+
+@SEARCH_SETTINGS
+@given(st.one_of(grid_queries(), corridor_queries(),
+                 aligned_queries(grid_queries()), aligned_queries(corridor_queries())),
+       st.one_of(st.just(NO_PERFORATION), perforation_specs()))
+def test_every_heap_key_holds_the_cells_cost_and_manhattan_h(query, spec):
+    # Each key handed to the heap must be ((g + h) * hm + h) * n + cell, with
+    # h the Manhattan distance from the cell to the goal and g a cost the
+    # search gave the cell. The reference queues every (g + h, h, y, x) it
+    # relaxes, so its keys give the costs. A wrong h shows here even where
+    # it leaves the pop order of a query unchanged.
+    grid, start, goal = query
+    extent = reference_astar(grid, start, goal, None, None).expansions if spec.mode == TRUNCATION else None
+    handed, relaxed = [], []
+
+    def spy(fn, into):
+        return lambda heap, key: into.append(key) or fn(heap, key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "heapq", SimpleNamespace(
+            heappush=spy(heapq.heappush, handed), heappushpop=spy(heapq.heappushpop, handed),
+            heappop=heapq.heappop))
+        mp.setattr(oracles, "heapq", SimpleNamespace(
+            heappush=spy(heapq.heappush, relaxed), heappop=heapq.heappop))
+        assert _astar(grid, start, goal, spec, extent) == reference_astar(grid, start, goal, spec, extent)
+    w, n, hm = grid.width + 2, len(grid._mask), grid.width + grid.height
+    want = set()
+    for f, _, y, x in relaxed:
+        h = manhattan(Cell(x, y), goal)
+        g = f - h  # the reference's f is g + its h
+        want.add(((g + h) * hm + h) * n + (y + 1) * w + x + 1)
+    assert len(set(handed)) == len(handed)
+    assert set(handed) <= want, sorted((k % n % w - 1, k % n // w - 1, k // n % hm)
+                                       for k in set(handed) - want)
 
 
 @SEARCH_SETTINGS
