@@ -8,6 +8,7 @@ it gets its own code instead of being lumped in with bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -178,6 +179,7 @@ def _add_report_flags(sub, default_rates: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call, so a caller may change it; `main` keeps its own."""
     parser = _Parser(prog="perfplan",
                      description="Grid-world planning with loop-perforated A*.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -212,10 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # `main`'s one parser per process. Building one costs about a millisecond,
+    # more than a light command's own work, and a parser can be reused
+    # because each parse_args call fills a fresh Namespace.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

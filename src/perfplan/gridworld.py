@@ -16,6 +16,7 @@ outside the map block are ignored.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -298,8 +299,14 @@ def render_scenario(scenario: Scenario) -> str:
     return "\n".join(out) + "\n"
 
 
+@functools.cache
 def builtin_scenario(name: str) -> Scenario:
-    """Load one of the canonical built-in scenarios ('warehouse' or 'room')."""
+    """Load one of the canonical built-in scenarios ('warehouse' or 'room').
+
+    Each built-in is parsed once per process and the same frozen `Scenario`
+    is returned on every later call; its map's lazily filled `Cell` slots
+    only ever hold the same objects, so sharing it is safe.
+    """
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown built-in scenario {name!r}; choose from {BUILTIN_NAMES}")
     text = resources.files(__package__).joinpath(f"scenarios/{name}.scen").read_text(encoding="utf-8")

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, output shapes, file emission."""
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from perfplan.cli import main
+from perfplan import cli
+from perfplan.cli import build_parser, main
 from perfplan.gridworld import Cell, RobotTask, Scenario, builtin_scenario, render_scenario
 from perfplan.harness import COLLISION_HEADER, SWEEP_HEADER
 
@@ -217,6 +221,48 @@ class TestAssign:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: cell 14,10 is blocked or out of range\n"
+
+
+def _without_wall_column(csv_text):
+    # mean_speedup_wall (third column) is the only clock-dependent sweep field.
+    return [[f for n, f in enumerate(line.split(",")) if n != 2] for line in csv_text.splitlines()]
+
+
+def _run_sequence(tmp_path, capsys):
+    """One in-process run of every kind of outcome: (code, stdout, stderr) per call."""
+    sweep_file = tmp_path / "sweep.csv"
+    results = []
+    for argv in (["plan"],
+                 ["plan", str(tmp_path / "missing.scen"), "--robot", "1"],
+                 ["plan", "warehouse", "--robot", "1", "--rate", "22/25"],
+                 ["sweep", "room", "--cases", "3", "--out", str(sweep_file)],
+                 ["assign", "warehouse", "--tasks", "21,19;14,19"]):
+        code = main(argv)
+        results.append((argv[0], code, *capsys.readouterr()))
+    return results, _without_wall_column(sweep_file.read_text())
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, monkeypatch, capsys):
+        assert cli._parser() is cli._parser()
+        reused = _run_sequence(tmp_path, capsys)
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = _run_sequence(tmp_path, capsys)
+        assert reused == fresh
+        codes = [code for _, code, _, _ in reused[0]]
+        assert codes[:2] == [1, 1] and codes[2] in (0, 2) and codes[3:] == [0, 0]
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert build_parser() is not build_parser()
+
+    def test_fresh_process_prints_what_main_prints(self, capsys):
+        argv = ["plan", "warehouse", "--robot", "1"]
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "perfplan.cli", *argv],
+                              capture_output=True, env=env, check=True)
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def _readme_usage_lines():

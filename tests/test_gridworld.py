@@ -262,8 +262,13 @@ class TestCellText:
 
 class TestBuiltins:
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown"):
-            builtin_scenario("depot")
+        for _ in range(2):  # a failed lookup is not cached
+            with pytest.raises(ValueError, match="unknown"):
+                builtin_scenario("depot")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_each_builtin_is_parsed_once(self, name):
+        assert builtin_scenario(name) is builtin_scenario(name)
 
     def test_warehouse_shape_and_tasks(self):
         sc = builtin_scenario("warehouse")
