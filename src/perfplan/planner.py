@@ -76,7 +76,7 @@ class PerforationSpec:
         if self.mode not in MODES:
             raise ValueError(f"unknown perforation mode {self.mode!r}; choose from {MODES}")
         if not (0 <= self.skip < self.window):
-            raise ValueError(f"need 0 <= skip < window, got {self.skip}/{self.window}")
+            raise ValueError(f"rate must be in [0, 1): need 0 <= skip < window, got {self.skip}/{self.window}")
 
     @property
     def rate(self) -> Fraction:
@@ -85,8 +85,6 @@ class PerforationSpec:
     @classmethod
     def from_rate(cls, rate, mode: str = MODULO, seed: int = 0) -> "PerforationSpec":
         frac = Fraction(rate)
-        if not 0 <= frac < 1:
-            raise ValueError(f"rate must be in [0, 1), got {frac}")
         return cls(mode, frac.numerator, frac.denominator, seed=seed)
 
 
@@ -183,14 +181,10 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     # broken by lower h, then row-major cell. Keys are unique (a cell is
     # re-queued only with a lower g), so the pop order depends only on the
     # set of queued keys. The smallest key an iteration queues is carried
-    # past the heap: while it is below the heap's smallest key (`top`), the
-    # next iteration takes its cell directly, which is open and has g = ng,
-    # so a run of such iterations (a chain) makes no heap call at all.
-    # Otherwise heappushpop queues it and takes the heap's smallest key.
-    # A g is below n (a cell is queued only then), so every key is below
-    # `bound`, which stands for the top of an empty heap.
-    bound = (n + hm) * hm * n
-    top = bound
+    # past the heap: while the heap is empty or its smallest key is larger,
+    # the next iteration takes the carried cell directly, which is open and
+    # has g = ng, so a run of such iterations (a chain) makes no heap call
+    # at all. Otherwise heappushpop queues it and takes the heap's smallest.
     open_heap: list = []
     g = {src: 0}
     came_from: dict = {}
@@ -198,12 +192,11 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     skipped = 0
     pop, push, pushpop = heapq.heappop, heapq.heappush, heapq.heappushpop
     cur, ng = src, 1
-    # x, y (padded) and h always belong to `probe`: the cell that an
-    # iteration last decoded, or that a full iteration or a perforated step
-    # last handed them off to. A chained cell arrives with them, so a chain
-    # decodes no cell, full or perforated. Index 0 is border: no iteration
-    # is there.
-    probe = 0
+    # x, y (padded) and h are cur's. They are decoded for the start and for
+    # a cell taken from the heap; a carried cell brings its own, from a full
+    # iteration or a perforated step alike, so a chain decodes no cell.
+    x, y = x0 + 1, y0 + 1
+    h = abs(x - gx) + abs(y - gy)
 
     while True:
         # cur is open and its g is ng - 1.
@@ -220,12 +213,8 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
             return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in reversed(path)]),
                                expansions, skipped)
         open_[cur] = 0
-        if cur != probe:  # taken from the heap: the only decode
-            probe = cur
-            y, x = divmod(cur, w)
-            h = abs(x - gx) + abs(y - gy)
-        # x, y and h are cur's. A step toward the goal lowers h by 1 and
-        # any other raises it by 1, so each neighbor's h is h - 1 or h + 1.
+        # A step toward the goal lowers h by 1 and any other raises it by 1,
+        # so each neighbor's h is h - 1 or h + 1.
         if runs_in_full():
             expansions += 1
             # The four neighbors, unrolled in row-major order. The first
@@ -278,39 +267,39 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
                     carried, nxt, cx, cy, ch = k, nb, x, y + 1, hn
                 else:
                     push(open_heap, k)
-            if open_heap:  # the heap grows only here
-                top = open_heap[0]
-            if carried:  # hand the carried cell's x, y and h to probe
-                probe, x, y, h = nxt, cx, cy, ch
+            if carried:
+                x, y, h = cx, cy, ch
         else:
             skipped += 1
             carried = 0
             # Degraded expansion: queue only the most promising successor,
             # the first open neighbor (row-major) with the lowest h: the
-            # first open one toward the goal, else the first open one. The
-            # probe moves there with its x, y and h.
+            # first open one toward the goal, else the first open one. Its
+            # x, y and h go with it.
             if y > gy and open_[cur - w]:
-                probe, y, h = cur - w, y - 1, h - 1
+                nxt, y, h = cur - w, y - 1, h - 1
             elif x > gx and open_[cur - 1]:
-                probe, x, h = cur - 1, x - 1, h - 1
+                nxt, x, h = cur - 1, x - 1, h - 1
             elif x < gx and open_[cur + 1]:
-                probe, x, h = cur + 1, x + 1, h - 1
+                nxt, x, h = cur + 1, x + 1, h - 1
             elif y < gy and open_[cur + w]:
-                probe, y, h = cur + w, y + 1, h - 1
+                nxt, y, h = cur + w, y + 1, h - 1
             elif open_[cur - w]:
-                probe, y, h = cur - w, y - 1, h + 1
+                nxt, y, h = cur - w, y - 1, h + 1
             elif open_[cur - 1]:
-                probe, x, h = cur - 1, x - 1, h + 1
+                nxt, x, h = cur - 1, x - 1, h + 1
             elif open_[cur + 1]:
-                probe, x, h = cur + 1, x + 1, h + 1
+                nxt, x, h = cur + 1, x + 1, h + 1
             elif open_[cur + w]:
-                probe, y, h = cur + w, y + 1, h + 1
-            if probe != cur and ng < g.get(probe, n):
-                g[probe] = ng
-                came_from[probe] = cur
-                carried, nxt = ((ng + h) * hm + h) * n + probe, probe
+                nxt, y, h = cur + w, y + 1, h + 1
+            else:
+                nxt = cur  # a dead end: g[cur] is ng - 1, so nothing is queued
+            if ng < g.get(nxt, n):
+                g[nxt] = ng
+                came_from[nxt] = cur
+                carried = ((ng + h) * hm + h) * n + nxt
         if carried:
-            if carried < top:
+            if not open_heap or carried < open_heap[0]:
                 cur = nxt
                 ng += 1
                 continue
@@ -322,7 +311,8 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
                 return PlanOutcome(NOT_FOUND, (), expansions, skipped)
             cur = pop(open_heap) % n
         ng = g[cur] + 1
-        top = open_heap[0] if open_heap else bound
+        y, x = divmod(cur, w)
+        h = abs(x - gx) + abs(y - gy)
 
 
 def astar_exact(grid: GridMap, start: Cell, goal: Cell) -> PlanOutcome:

@@ -100,6 +100,19 @@ class TestSimulateOutput:
         assert "makespan: 31" in out
         assert "collisions: none" in out
 
+    def test_reports_a_failed_robot(self, tmp_path, capsys):
+        # Robot 1's query dead-ends at modulo 17/20 (as in the failing
+        # scenario above); robot 2 plans, so the makespan is its path length.
+        grid = builtin_scenario("warehouse").grid
+        tasks = (RobotTask(1, Cell(1, 4), Cell(16, 9)), RobotTask(2, Cell(2, 7), Cell(14, 19)))
+        path = tmp_path / "onefails.scen"
+        path.write_text(render_scenario(Scenario("onefails", grid, tasks)))
+        assert main(["simulate", str(path), "--rate", "17/20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "robot 1: planning failed (leg 0)" in lines
+        (robot2,) = [line for line in lines if line.startswith("robot 2: ")]
+        assert f"makespan: {robot2.split()[2]}" in lines
+
     def test_trace_to_stdout(self, capsys):
         assert main(["simulate", "warehouse", "--trace", "-"]) == 0
         out = capsys.readouterr().out

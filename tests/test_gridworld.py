@@ -212,6 +212,7 @@ class TestScenarioParsing:
             ("map 3 1\n.#.\nrobot 1 start 1,0 goal 2,0\n", 3),  # blocked start
             ("map 2 1\n..\nrobot 1 start 0,0 goal 1,0\nrobot 1 start 1,0 goal 0,0\n", 4),
             ("map 3 1\n...\nrobot 1 start 0,0 via 1;0 goal 2,0\n", 3),  # bad cell token
+            ("map 3 1\n...\nrobot 1 start 0,0 by 1,0 goal 2,0\n", 3),  # missing 'via'
         ],
     )
     def test_malformed_input_reports_line(self, text, bad_line):

@@ -133,6 +133,16 @@ class TestSweep:
         counted = sweep(WAREHOUSE.grid, measure_wall=False, **kw)
         assert [dataclasses.replace(r, mean_speedup_wall=0.0) for r in timed] == counted
 
+    def test_row_where_every_case_fails(self):
+        # The one warehouse pair drawn at seed 38 dead-ends at 99/100, so the
+        # row has no found path to take an error mean over.
+        rows = sweep(WAREHOUSE.grid, rates=[Fraction(99, 100)], n_cases=1, seed=38,
+                     measure_wall=False)
+        (row,) = rows
+        assert row.pct_failed == 100.0
+        assert row.e_p == row.pct_len_increase == row.max_increase_pct == 0.0
+        assert parse_sweep_csv(emit_reports(rows)) == rows
+
     def test_rate_decimal_property(self):
         rows = sweep(WAREHOUSE.grid, rates=[Fraction(1, 2)], n_cases=2, measure_wall=False)
         assert rows[0].rate_decimal == 0.5
