@@ -48,7 +48,7 @@ def _load_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if not path.exists():
         raise ValueError(f"scenario {ref!r} is neither a built-in {BUILTIN_NAMES} nor a file")
-    return load_scenario(path.read_text(), name=path.stem)
+    return load_scenario(path.read_text(encoding="utf-8"), name=path.stem)
 
 
 def _make_spec(args) -> PerforationSpec:

@@ -11,8 +11,7 @@ over the tick's cells and moves flag a collision, and only then are robots
 indexed by cell and by move, O(R) per tick. detect_collisions runs it on
 every tick of a large group, and on a small one (by robot count) only on
 the ticks that the pair scan flags by comparing every robot pair tick by
-tick, O(R^2*T), which costs less there, and only for the robots of the
-pairs it flags.
+tick, O(R^2*T), which costs less there.
 """
 
 from __future__ import annotations
@@ -94,8 +93,7 @@ def detect_collisions(timelines) -> tuple:
 
     Timelines must share one horizon; pad them via path_to_timeline first.
     Groups of more than _PER_TICK_ROBOTS build events on every tick, smaller
-    ones only on the ticks that _pair_scan flags and from the robots it
-    flags there; _tick_events builds both.
+    ones only on the ticks that _pair_scan flags; _tick_events builds both.
     """
     tls = list(timelines)
     if len({tl.horizon for tl in tls}) > 1:
@@ -111,26 +109,21 @@ def detect_collisions(timelines) -> tuple:
             _tick_events(t, ids, prev, cur, events)
             prev = cur
     else:
-        # Every event is between the two robots of a flagged pair, so a
-        # tick's events are built from those robots alone, in id order.
-        for t, flagged in _pair_scan(cols).items():
-            robots = sorted(flagged)
-            rows = [cols[i] for i in robots]
-            prev = [c[t - 1] for c in rows] if t else None
-            _tick_events(t, [ids[i] for i in robots], prev, [c[t] for c in rows], events)
+        for t in _pair_scan(cols):
+            prev = [c[t - 1] for c in cols] if t else None
+            _tick_events(t, ids, prev, [c[t] for c in cols], events)
     events.sort(key=lambda e: (e.t, e.robots, e.kind))
     return tuple(events)
 
 
-def _pair_scan(cols) -> dict:
-    """Tick -> indices into `cols` of the robots of every pair that shares
-    a cell or swaps cells at that tick."""
-    ticks: dict = {}
-    for (i, a), (j, b) in combinations(enumerate(cols), 2):
+def _pair_scan(cols) -> set:
+    """The ticks at which some pair of `cols` shares a cell or swaps cells."""
+    ticks = set()
+    for a, b in combinations(cols, 2):
         pa = pb = None
         for t, ca, cb in zip(count(), a, b):
             if ca == cb or (ca == pb and cb == pa):
-                ticks.setdefault(t, set()).update((i, j))
+                ticks.add(t)
             pa, pb = ca, cb
     return ticks
 

@@ -17,6 +17,7 @@ outside the map block are ignored.
 from __future__ import annotations
 
 import functools
+import io
 import random
 import re
 from dataclasses import dataclass
@@ -182,8 +183,10 @@ class Scenario:
 # Scenario file parsing / rendering
 # ---------------------------------------------------------------------------
 
-# Only what `str(cell)` can write: no sign but '-', no blanks, no '_', ASCII digits.
-_CELL_TEXT = re.compile(r"(-?[0-9]+),(-?[0-9]+)")
+# Only what `str(int)` writes: no sign but '-', no blanks, no '_', ASCII digits.
+_INT = r"-?[0-9]+"
+_INT_TEXT = re.compile(_INT)
+_CELL_TEXT = re.compile(f"({_INT}),({_INT})")
 
 
 def _parse_cell(token: str) -> Cell:
@@ -195,12 +198,9 @@ def _parse_cell(token: str) -> Cell:
 
 
 def _parse_robot_line(tokens: list[str]) -> RobotTask:
-    try:
-        robot_id = int(tokens[1])
-    except (IndexError, ValueError):
-        raise ValueError("expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'") from None
     rest = tokens[2:]
-    if len(rest) not in (4, 6) or rest[0] != "start" or rest[-2] != "goal":
+    if (len(rest) not in (4, 6) or rest[0] != "start" or rest[-2] != "goal"
+            or not _INT_TEXT.fullmatch(tokens[1])):
         raise ValueError("expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'")
     start, goal = _parse_cell(rest[1]), _parse_cell(rest[-1])
     waypoints = ()
@@ -208,71 +208,60 @@ def _parse_robot_line(tokens: list[str]) -> RobotTask:
         if rest[2] != "via":
             raise ValueError(f"expected 'via', got {rest[2]!r}")
         waypoints = tuple(_parse_cell(tok) for tok in rest[3].split(";"))
-    return RobotTask(robot_id, start, goal, waypoints)
+    return RobotTask(int(tokens[1]), start, goal, waypoints)
 
 
 def load_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse scenario-file text into a validated Scenario.
 
+    Lines end where `open()` ends them: at '\\n', '\\r\\n' or '\\r' only.
     Raises ScenarioError with a 1-based line number on malformed input.
     """
-    lines = text.splitlines()
-    pos = 0
-
-    def next_meaningful():
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            stripped = lines[pos - 1].strip()
-            if stripped and not stripped.startswith(_BLOCKED_CHAR):
-                return stripped, pos
-        return None, pos
-
-    header, header_line = next_meaningful()
-    if header is None:
-        raise ScenarioError("malformed header: empty scenario", max(header_line, 1))
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "map":
-        raise ScenarioError(f"malformed header: expected 'map <width> <height>', got {header!r}", header_line)
-    try:
-        width, height = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise ScenarioError(f"malformed header: non-integer dimensions in {header!r}", header_line) from None
-    if width < 1 or height < 1:
-        raise ScenarioError(f"malformed header: dimensions must be >= 1, got {width}x{height}", header_line)
-
-    # The map block is read verbatim: no comments or blank lines inside it.
+    lines = io.StringIO(text, newline=None).readlines()
+    header_line = grid = None
     blocked = set()
-    for y in range(height):
-        if pos >= len(lines):
-            raise ScenarioError(f"map block truncated: expected {height} rows, got {y}", pos)
-        row = lines[pos]
-        pos += 1
-        if len(row) != width:
-            raise ScenarioError(f"map row has {len(row)} chars, expected {width}", pos)
-        for x, ch in enumerate(row):
-            if ch == _BLOCKED_CHAR:
-                blocked.add(Cell(x, y))
-            elif ch != _FREE_CHAR:
-                raise ScenarioError(f"invalid map char {ch!r} at column {x}", pos)
-    grid = GridMap(width, height, frozenset(blocked))
-
-    tasks = []
-    ids = set()
-    while True:
-        stripped, line = next_meaningful()
-        if stripped is None:
-            break
-        tokens = stripped.split()
-        if tokens[0] != "robot":
-            raise ScenarioError(f"expected 'robot' line, got {stripped!r}", line)
+    tasks, ids = [], set()
+    for number, line in enumerate(lines, 1):
         try:
-            task = _parse_robot_line(tokens)
-            _check_task(grid, task, ids)
+            if header_line and grid is None:
+                # The map block is read verbatim: no comments or blank lines inside it.
+                y, row = number - header_line - 1, line.rstrip("\n")
+                if len(row) != width:
+                    raise ValueError(f"map row has {len(row)} chars, expected {width}")
+                for x, ch in enumerate(row):
+                    if ch == _BLOCKED_CHAR:
+                        blocked.add(Cell(x, y))
+                    elif ch != _FREE_CHAR:
+                        raise ValueError(f"invalid map char {ch!r} at column {x}")
+                if y == height - 1:
+                    grid = GridMap(width, height, frozenset(blocked))
+                continue
+            stripped = line.strip()
+            if not stripped or stripped.startswith(_BLOCKED_CHAR):
+                continue
+            tokens = stripped.split()
+            if header_line is None:
+                if len(tokens) != 3 or tokens[0] != "map":
+                    raise ValueError(f"malformed header: expected 'map <width> <height>', got {stripped!r}")
+                if not all(map(_INT_TEXT.fullmatch, tokens[1:])):
+                    raise ValueError(f"malformed header: non-integer dimensions in {stripped!r}")
+                width, height = map(int, tokens[1:])
+                if width < 1 or height < 1:
+                    raise ValueError(f"malformed header: dimensions must be >= 1, got {width}x{height}")
+                header_line = number
+            elif tokens[0] != "robot":
+                raise ValueError(f"expected 'robot' line, got {stripped!r}")
+            else:
+                task = _parse_robot_line(tokens)
+                _check_task(grid, task, ids)
+                tasks.append(task)
         except ValueError as exc:
-            raise ScenarioError(str(exc), line) from None
-        tasks.append(task)
-
+            raise ScenarioError(str(exc), number) from None
+    if header_line is None:
+        raise ScenarioError("malformed header: empty scenario", max(len(lines), 1))
+    if grid is None:
+        raise ScenarioError(f"map block truncated: expected {height} rows, got {len(lines) - header_line}",
+                            len(lines))
     return Scenario(name, grid, tuple(tasks))
 
 

@@ -49,6 +49,10 @@ COLLISION_HEADER = "rate,n_trials,pct_collision_trials,mean_speedup_proxy"
 def parse_rate(text: str) -> Fraction:
     """Parse 'k/n', an exact decimal, or a two-decimal ladder shorthand."""
     token = text.strip()
+    # Fraction reads '_' only from CPython 3.11 on, and non-ASCII digits on
+    # every version; a rate is written with neither.
+    if "_" in token or not token.isascii():
+        raise ValueError(f"cannot parse perforation rate {text!r}")
     if token in RATE_ALIASES:
         rate = RATE_ALIASES[token]
     else:

@@ -113,6 +113,23 @@ class TestSimulateOutput:
         (robot2,) = [line for line in lines if line.startswith("robot 2: ")]
         assert f"makespan: {robot2.split()[2]}" in lines
 
+    def test_comment_with_a_form_feed_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "ff.scen"
+        path.write_bytes(b"map 3 1\n...\n# note\f page two\nrobot 1 start 0,0 goal 2,0\n")
+        assert main(["simulate", str(path)]) == 0
+        assert "robot 1: 2 edges" in capsys.readouterr().out
+
+    def test_scenario_file_is_read_as_utf8_in_any_locale(self, tmp_path):
+        path = tmp_path / "utf8.scen"
+        path.write_bytes("map 3 1\n...\n# caf\u00e9\nrobot 1 start 0,0 goal 2,0\n".encode("utf-8"))
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "perfplan.cli", "simulate", str(path)],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert b"robot 1: 2 edges" in proc.stdout
+
     def test_trace_to_stdout(self, capsys):
         assert main(["simulate", "warehouse", "--trace", "-"]) == 0
         out = capsys.readouterr().out

@@ -213,6 +213,14 @@ class TestScenarioParsing:
             ("map 2 1\n..\nrobot 1 start 0,0 goal 1,0\nrobot 1 start 1,0 goal 0,0\n", 4),
             ("map 3 1\n...\nrobot 1 start 0,0 via 1;0 goal 2,0\n", 3),  # bad cell token
             ("map 3 1\n...\nrobot 1 start 0,0 by 1,0 goal 2,0\n", 3),  # missing 'via'
+            # Integers are read only as str(int) writes them; int() takes each of these.
+            ("map 1_0 1\n..........\n", 1),
+            ("map +2 1\n..\n", 1),
+            ("map \u0662 1\n..\n", 1),
+            ("map 2 1\n..\nrobot 1_0 start 0,0 goal 1,0\n", 3),
+            ("map 2 1\n..\nrobot +1 start 0,0 goal 1,0\n", 3),
+            ("map 2 1\n..\nrobot \u0661 start 0,0 goal 1,0\n", 3),
+            ("map 2 1\n##\n", 2),  # no free cell: named at the last map row
         ],
     )
     def test_malformed_input_reports_line(self, text, bad_line):
@@ -231,6 +239,31 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as exc:
             load_scenario(f"map 3 1\n...\n{line}\n")
         assert str(exc.value) == f"line 3: expected cell as <x>,<y>, got {token!r}"
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
+    def test_integers_not_written_by_str_keep_their_field_message(self, token):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(f"map {token} 1\n..\n")
+        assert str(exc.value) == f"line 1: malformed header: non-integer dimensions in 'map {token} 1'"
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(f"map 2 1\n..\nrobot {token} start 0,0 goal 1,0\n")
+        assert str(exc.value) == "line 3: expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'"
+
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_only_where_open_ends_them(self, char):
+        # str.splitlines() would also cut at each of these; open() does not.
+        head, robots = VALID_TEXT.split("\n\n")
+        text = f"{head}\n# note{char} page two\n{robots}"
+        assert load_scenario(text) == load_scenario(VALID_TEXT)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, newline):
+        assert load_scenario(VALID_TEXT.replace("\n", newline)) == load_scenario(VALID_TEXT)
+
+    def test_map_row_keeps_a_separator_char(self):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario("map 3 1\n.\x1c.\n")
+        assert str(exc.value) == "line 2: invalid map char '\\x1c' at column 1"
 
     def test_comments_and_blanks_skipped_outside_map(self):
         text = "\n# header comment\n\nmap 2 2\n..\n..\n\n# between\nrobot 1 start 0,0 goal 1,1\n"

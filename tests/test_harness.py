@@ -46,7 +46,7 @@ class TestParseRate:
         assert parse_rate("0.85") == Fraction(17, 20)
         assert parse_rate("0.88") == Fraction(22, 25)
 
-    @pytest.mark.parametrize("bad", ["1", "1.0", "-0.1", "-1/5", "x", "1/0", ""])
+    @pytest.mark.parametrize("bad", ["1", "1.0", "-0.1", "-1/5", "x", "1/0", "", "1_0/20", "\u0663/\u0664"])
     def test_rejects_out_of_range_and_junk(self, bad):
         with pytest.raises(ValueError):
             parse_rate(bad)
