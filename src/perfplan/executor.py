@@ -12,6 +12,9 @@ indexed by cell and by move, O(R) per tick. detect_collisions runs it on
 every tick of a large group, and on a small one (by robot count) only on
 the ticks that the pair scan flags by comparing every robot pair tick by
 tick, O(R^2*T), which costs less there.
+
+replay checks and replays plans already in hand; simulate plans every task
+and hands its plans to replay.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, count
 
 from .gridworld import Scenario
-from .planner import NO_PERFORATION, PerforationSpec, PlanOutcome, manhattan, plan_multi_leg
+from .planner import NO_PERFORATION, PerforationSpec, manhattan, plan_multi_leg
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -157,17 +160,21 @@ def _tick_events(t, ids, prev, cur, events) -> None:
 
 
 def simulate(scenario: Scenario, spec: PerforationSpec = NO_PERFORATION) -> SimulationReport:
-    """Plan every task with `spec`, replay the paths, and report conflicts.
+    """Plan every task with `spec`, in robot-id order, and replay the plans."""
+    grid = scenario.grid
+    return replay(scenario, {task.robot_id: plan_multi_leg(grid, task, spec) for task in scenario.tasks})
 
-    A robot whose plan fails is recorded in failed_robots and excluded from
+
+def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
+    """Replay planned `outcomes` (robot_id -> PlanOutcome, in robot-id order)
+    on the scenario's grid, and report conflicts.
+
+    A robot whose plan failed is recorded in failed_robots and excluded from
     collision analysis; the other robots are still replayed, so a planning
     failure is never mislabelled as a collision. A found path through a
     blocked or off-grid cell raises RuntimeError; Timeline checks that its
     steps are adjacent.
     """
-    outcomes: dict[int, PlanOutcome] = {}
-    for task in scenario.tasks:
-        outcomes[task.robot_id] = plan_multi_leg(scenario.grid, task, spec)
     found = {rid: out for rid, out in outcomes.items() if out.found}
     grid = scenario.grid
     mask, w, width, height = grid._mask, grid.width + 2, grid.width, grid.height

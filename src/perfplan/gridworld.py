@@ -20,6 +20,7 @@ import functools
 import io
 import random
 import re
+import string
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress
@@ -187,6 +188,10 @@ class Scenario:
 _INT = r"-?[0-9]+"
 _INT_TEXT = re.compile(_INT)
 _CELL_TEXT = re.compile(f"({_INT}),({_INT})")
+# Fields are separated and surrounded by ASCII blanks only (string.whitespace);
+# str.split() and str.strip() would also take '\x1c'-'\x1f', '\x85' and
+# Unicode spaces.
+_BLANKS = re.compile(r"\s+", re.ASCII)
 
 
 def _parse_cell(token: str) -> Cell:
@@ -236,10 +241,10 @@ def load_scenario(text: str, name: str = "scenario") -> Scenario:
                 if y == height - 1:
                     grid = GridMap(width, height, frozenset(blocked))
                 continue
-            stripped = line.strip()
+            stripped = line.strip(string.whitespace)
             if not stripped or stripped.startswith(_BLOCKED_CHAR):
                 continue
-            tokens = stripped.split()
+            tokens = _BLANKS.split(stripped)
             if header_line is None:
                 if len(tokens) != 3 or tokens[0] != "map":
                     raise ValueError(f"malformed header: expected 'map <width> <height>', got {stripped!r}")

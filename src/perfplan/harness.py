@@ -15,15 +15,16 @@ from __future__ import annotations
 import csv
 import io
 import random
+import string
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import fmean
 
-from .executor import simulate
+from .executor import replay, simulate
 from .gridworld import _MAX_DRAWS, GridMap, RobotTask, Scenario, _draw_pair, component_labels, random_endpoints
 from .metrics import CaseRecord, PathErrorStats, aggregate_error, perforated_cost, speedup_proxy
-from .planner import NO_PERFORATION, PerforationSpec, astar_exact, astar_perforated
+from .planner import NO_PERFORATION, PerforationSpec, astar_exact, astar_perforated, plan_multi_leg
 
 DEFAULT_SEED = 9
 DEFAULT_CASES = 20
@@ -48,10 +49,11 @@ COLLISION_HEADER = "rate,n_trials,pct_collision_trials,mean_speedup_proxy"
 
 def parse_rate(text: str) -> Fraction:
     """Parse 'k/n', an exact decimal, or a two-decimal ladder shorthand."""
-    token = text.strip()
-    # Fraction reads '_' only from CPython 3.11 on, and non-ASCII digits on
-    # every version; a rate is written with neither.
-    if "_" in token or not token.isascii():
+    token = text.strip(string.whitespace)
+    # Fraction reads '_' only from CPython 3.11 on, non-ASCII digits on every
+    # version, and strips every Unicode blank ('\x1c' to '\x1f' too); a rate
+    # is written with none of them, and surrounded by ASCII blanks only.
+    if "_" in token or not token.isascii() or any(map(str.isspace, token)):
         raise ValueError(f"cannot parse perforation rate {text!r}")
     if token in RATE_ALIASES:
         rate = RATE_ALIASES[token]
@@ -66,7 +68,7 @@ def parse_rate(text: str) -> Fraction:
 
 
 def parse_rate_list(text: str) -> tuple:
-    rates = tuple(parse_rate(tok) for tok in text.split(",") if tok.strip())
+    rates = tuple(parse_rate(tok) for tok in text.split(",") if tok.strip(string.whitespace))
     if not rates:
         raise ValueError("empty rate list")
     return rates
@@ -186,13 +188,14 @@ def _resample_tasks(scenario: Scenario, rng: random.Random, labels, free_cells):
 def _build_trials(scenario: Scenario, n_trials: int, seed: int) -> list:
     """Trial 0 is the scenario verbatim; later trials re-sample start/goal
     pairs (waypoints dropped) and are re-drawn until their exact paths are
-    mutually collision-free, so any reported collision is perforation-induced.
+    mutually collision-free. Each trial keeps its exact report: its exact
+    plans passed every replay check and do not collide.
     """
     exact_report = simulate(scenario, NO_PERFORATION)
     if exact_report.collisions:
         raise ValueError(
-            "scenario's own exact paths collide; the study measures "
-            "perforation-induced collisions only")
+            "scenario's own exact paths collide; the study needs trials "
+            "whose exact plans are collision-free")
     trials = [(scenario, exact_report)]
     labels = component_labels(scenario.grid)
     free_cells = scenario.grid.free_cells()
@@ -227,12 +230,17 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
         n_collision = 0
         proxies = []
         for trial_scenario, exact_report in trials:
-            report = simulate(trial_scenario, spec)
-            for rid, out in report.outcomes.items():
+            exact = exact_report.outcomes
+            outcomes = {task.robot_id: plan_multi_leg(trial_scenario.grid, task, spec)
+                        for task in trial_scenario.tasks}
+            for rid, out in outcomes.items():
                 proxies.append(speedup_proxy(
-                    exact_report.outcomes[rid].expansions,
-                    perforated_cost(out.expansions, out.skipped)))
-            if report.collisions:
+                    exact[rid].expansions, perforated_cost(out.expansions, out.skipped)))
+            # The exact plans were replayed clean when the trial was built;
+            # the same paths give the same timelines, so only a changed plan
+            # set is replayed. Paths share the grid's Cells: `!=` is cheap.
+            if (any(out.path != exact[rid].path for rid, out in outcomes.items())
+                    and replay(trial_scenario, outcomes).collisions):
                 n_collision += 1
         rows.append(CollisionRow(
             rate=rate,

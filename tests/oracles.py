@@ -6,15 +6,21 @@ per-tick scan for collisions.  The production code must agree with these
 on every fixture; the oracles themselves are kept simple enough to audit
 by eye.  `reference_astar` is A* on `Cell`s, a closed set and tuple heap
 keys; the flat-array kernel `planner._astar` must reproduce it exactly,
-counters included.
+counters included.  `reference_collision_study` runs a full `simulate` of
+every trial at every rate, where `harness.collision_study` replays only the
+trials whose plans changed.
 """
 
 import heapq
 from collections import deque
 from itertools import permutations
+from statistics import fmean
 
+from perfplan.executor import simulate
 from perfplan.gridworld import Cell
-from perfplan.planner import FOUND, NOT_FOUND, PlanOutcome, manhattan, perforation_schedule
+from perfplan.harness import CollisionRow, _build_trials
+from perfplan.metrics import perforated_cost, speedup_proxy
+from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, manhattan, perforation_schedule
 
 
 def bfs_distance(grid, start, goal):
@@ -232,3 +238,22 @@ def collision_fixtures(count, seed):
             ]
         )
     return fixtures
+
+
+def reference_collision_study(scenario, rates, n_trials, seed):
+    """`harness.collision_study` with every trial simulated at every rate:
+    planned, checked, padded into timelines and scanned for collisions."""
+    trials = _build_trials(scenario, n_trials, seed)
+    rows = []
+    for rate in rates:
+        spec = PerforationSpec.from_rate(rate)
+        n_collision = 0
+        proxies = []
+        for trial_scenario, exact_report in trials:
+            report = simulate(trial_scenario, spec)
+            for rid, out in report.outcomes.items():
+                proxies.append(speedup_proxy(
+                    exact_report.outcomes[rid].expansions, perforated_cost(out.expansions, out.skipped)))
+            n_collision += bool(report.collisions)
+        rows.append(CollisionRow(rate, n_trials, 100 * n_collision / n_trials, fmean(proxies)))
+    return rows

@@ -14,10 +14,13 @@ from perfplan.executor import (
     Timeline,
     detect_collisions,
     path_to_timeline,
+    replay,
     simulate,
 )
 from perfplan.gridworld import Cell, Scenario, builtin_scenario, GridMap, RobotTask
-from perfplan.planner import FOUND, MODULO, PerforationSpec, PlanOutcome, astar_exact
+from perfplan.planner import (
+    FOUND, MODULO, RANDOM, TRUNCATION, PerforationSpec, PlanOutcome, astar_exact, plan_multi_leg,
+)
 
 
 def as_tuples(events):
@@ -264,3 +267,14 @@ class TestSimulate:
         scenario = builtin_scenario("warehouse")
         spec = PerforationSpec(MODULO, 3, 4)
         assert simulate(scenario, spec).collisions == simulate(scenario, spec).collisions
+
+
+class TestReplay:
+    @pytest.mark.parametrize("spec", [
+        PerforationSpec(), PerforationSpec(MODULO, 3, 4), PerforationSpec(MODULO, 17, 20),
+        PerforationSpec(TRUNCATION, 1, 2), PerforationSpec(RANDOM, 22, 25, seed=5)])
+    @pytest.mark.parametrize("name", ["warehouse", "room"])
+    def test_equals_simulate_on_plans_made_at_its_spec(self, name, spec):
+        scenario = builtin_scenario(name)
+        outcomes = {task.robot_id: plan_multi_leg(scenario.grid, task, spec) for task in scenario.tasks}
+        assert replay(scenario, outcomes) == simulate(scenario, spec)

@@ -265,6 +265,28 @@ class TestScenarioParsing:
             load_scenario("map 3 1\n.\x1c.\n")
         assert str(exc.value) == "line 2: invalid map char '\\x1c' at column 1"
 
+    def test_fields_are_separated_by_ascii_blanks(self):
+        spaced = "map\t3 \v1\f\n...\nrobot 1 start 0,0\t goal 2,0 \n"
+        assert load_scenario(spaced) == load_scenario("map 3 1\n...\nrobot 1 start 0,0 goal 2,0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("map\x1c3 1\n...\nrobot 1\u3000start 0,0\x85goal 2,0\n",
+         "line 1: malformed header: expected 'map <width> <height>', got 'map\\x1c3 1'"),
+        ("\u3000map 3 1\n...\n", "line 1: malformed header: expected 'map <width> <height>', got '\\u3000map 3 1'"),
+        ("map 3\x1f 1\n...\n", "line 1: malformed header: non-integer dimensions in 'map 3\\x1f 1'"),
+        ("map 3 1\n...\nrobot 1\u3000start 0,0 goal 2,0\n",
+         "line 3: expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'"),
+        ("map 3 1\n...\nrobot 1 start 0,0\x85goal 2,0\n",
+         "line 3: expected 'robot <id> start <x>,<y> [via ...] goal <x>,<y>'"),
+        ("map 3 1\n...\nrobot 1 start 0,0 goal 2,0\xa0\n", "line 3: expected cell as <x>,<y>, got '2,0\\xa0'"),
+        ("map 3 1\n...\n\u2003\n", "line 3: expected 'robot' line, got '\\u2003'"),
+    ])
+    def test_other_blanks_keep_their_field_message(self, text, message):
+        # str.split() and str.strip() would take each of these as a blank.
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(text)
+        assert str(exc.value) == message
+
     def test_comments_and_blanks_skipped_outside_map(self):
         text = "\n# header comment\n\nmap 2 2\n..\n..\n\n# between\nrobot 1 start 0,0 goal 1,1\n"
         sc = load_scenario(text)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_collision_study
 import perfplan.executor as executor_module
 import perfplan.harness as harness_module
 from perfplan.gridworld import Cell, GridMap, RobotTask, Scenario, builtin_scenario
@@ -24,7 +25,7 @@ from perfplan.harness import (
     parse_sweep_csv,
     sweep,
 )
-from perfplan.planner import FOUND, PlanOutcome
+from perfplan.planner import FOUND, NOT_FOUND, PlanOutcome
 
 WAREHOUSE = builtin_scenario("warehouse")
 
@@ -32,7 +33,7 @@ WAREHOUSE = builtin_scenario("warehouse")
 class TestParseRate:
     def test_fraction_tokens(self):
         assert parse_rate("1/5") == Fraction(1, 5)
-        assert parse_rate(" 3/4 ") == Fraction(3, 4)
+        assert parse_rate(" 3/4 ") == parse_rate("\t3/4\n") == Fraction(3, 4)
         assert parse_rate("0") == 0
 
     def test_exact_decimals(self):
@@ -50,6 +51,16 @@ class TestParseRate:
     def test_rejects_out_of_range_and_junk(self, bad):
         with pytest.raises(ValueError):
             parse_rate(bad)
+
+    @pytest.mark.parametrize("bad", ["\u3000", "\u30003/4 ", "\x1c3/4", "3/4\x1f", "3/4\x85", "\xa03/4"])
+    def test_only_ascii_blanks_are_stripped(self, bad):
+        # str.strip() and Fraction would take each of these as a blank.
+        with pytest.raises(ValueError) as exc:
+            parse_rate(bad)
+        assert str(exc.value) == f"cannot parse perforation rate {bad!r}"
+        with pytest.raises(ValueError) as exc:
+            parse_rate_list(f"1/2,{bad}")
+        assert str(exc.value) == f"cannot parse perforation rate {bad!r}"
 
     def test_rate_list(self):
         assert parse_rate_list("0, 1/5 ,3/4") == (0, Fraction(1, 5), Fraction(3, 4))
@@ -148,6 +159,20 @@ class TestSweep:
         assert rows[0].rate_decimal == 0.5
 
 
+@pytest.fixture
+def replays(monkeypatch):
+    """Every report the collision study's `replay` calls return, in order."""
+    reports = []
+    real_replay = harness_module.replay
+
+    def replay(scenario, outcomes):
+        reports.append(real_replay(scenario, outcomes))
+        return reports[-1]
+
+    monkeypatch.setattr(harness_module, "replay", replay)
+    return reports
+
+
 class TestCollisionStudy:
     def test_rate_zero_never_collides(self):
         rows = collision_study(WAREHOUSE, rates=[Fraction(0)], n_trials=6)
@@ -214,6 +239,56 @@ class TestCollisionStudy:
         monkeypatch.setattr(executor_module, "plan_multi_leg", plan)
         with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell"):
             collision_study(scenario, rates=[Fraction(1, 2)], n_trials=1)
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+    @pytest.mark.parametrize("name", ["warehouse", "room"])
+    def test_matches_a_full_replay_of_every_trial(self, name, seed):
+        # Rate 0 replays no trial, the other rates only the trials whose
+        # plans changed; skipping the rest must not change a row.
+        rates = [Fraction(0), Fraction(3, 5), Fraction(3, 4), Fraction(4, 5), Fraction(22, 25)]
+        scenario = builtin_scenario(name)
+        assert (collision_study(scenario, rates, n_trials=100, seed=seed)
+                == reference_collision_study(scenario, rates, 100, seed))
+
+    def test_replays_only_trials_whose_plans_changed(self, replays):
+        collision_study(WAREHOUSE, rates=[Fraction(0)], n_trials=20)
+        assert replays == []
+        collision_study(WAREHOUSE, rates=[Fraction(3, 4)], n_trials=20)
+        assert 0 < len(replays) < 20
+
+    def test_changed_rate_plans_are_checked(self, monkeypatch):
+        # Only the perforated plan of robot 1 crosses the blocked cell (2,1);
+        # it differs from the exact path, so the trial is replayed and the
+        # replay's free-cell check catches it.
+        grid = GridMap(width=5, height=3, blocked=frozenset({Cell(2, 1)}))
+        scenario = Scenario("rows", grid, (
+            RobotTask(1, Cell(0, 0), Cell(4, 0)), RobotTask(2, Cell(0, 2), Cell(4, 2))))
+        detour = (Cell(0, 0), Cell(1, 0), Cell(1, 1), Cell(2, 1), Cell(3, 1), Cell(3, 0), Cell(4, 0))
+        real_plan = harness_module.plan_multi_leg
+
+        def plan(grid, task, spec):
+            if task.robot_id == 1:
+                return PlanOutcome(FOUND, detour, 7, 0)
+            return real_plan(grid, task, spec)
+
+        monkeypatch.setattr(harness_module, "plan_multi_leg", plan)
+        with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell 2,1$"):
+            collision_study(scenario, rates=[Fraction(1, 2)], n_trials=1)
+
+    def test_failed_rate_plan_is_replayed(self, monkeypatch, replays):
+        # A failed plan's path () differs from the exact path, so its trial
+        # is replayed; the failure is no collision.
+        real_plan = harness_module.plan_multi_leg
+
+        def plan(grid, task, spec):
+            if task.robot_id == 1:
+                return PlanOutcome(NOT_FOUND, (), 1, 0)
+            return real_plan(grid, task, spec)
+
+        monkeypatch.setattr(harness_module, "plan_multi_leg", plan)
+        (row,) = collision_study(WAREHOUSE, rates=[Fraction(0)], n_trials=3)
+        assert [report.failed_robots for report in replays] == [(1,)] * 3
+        assert row.pct_collision_trials == 0.0
 
     def test_gives_up_when_no_variation_is_collision_free(self):
         # Two robots on a 2-cell corridor: every re-drawn trial swaps them
