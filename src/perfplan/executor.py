@@ -8,10 +8,13 @@ are reported because a head-on meeting on a grid is always one of the two.
 
 _tick_events is the one rule that builds a tick's events: set operations
 over the tick's cells and moves flag a collision, and only then are robots
-indexed by cell and by move, O(R) per tick. detect_collisions runs it on
-every tick of a large group, and on a small one (by robot count) only on
-the ticks that the pair scan flags by comparing every robot pair tick by
-tick, O(R^2*T), which costs less there.
+indexed by cell and by move, O(R) per tick. On a small group (by robot
+count) detect_collisions runs it only on the ticks that the pair scan flags
+by comparing every robot pair tick by tick, O(R^2*T), which costs less
+there. On a large group it runs it on every tick, over the robots still
+moving: a robot that has parked enters a cell -> robots index once, which
+the rule checks the moving robots against, and the events of two parked
+robots on one cell are appended once, for every tick to the horizon.
 
 replay checks and replays plans already in hand; simulate plans every task
 and hands its plans to replay.
@@ -20,7 +23,8 @@ and hands its plans to replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations, compress, count, repeat
+from operator import itemgetter, ne
 
 from .gridworld import Scenario
 from .planner import NO_PERFORATION, PerforationSpec, manhattan, plan_multi_leg
@@ -94,29 +98,68 @@ _PER_TICK_ROBOTS = 8
 def detect_collisions(timelines) -> tuple:
     """Every vertex and swap event over all robot pairs, sorted by (t, robots).
 
-    Timelines must share one horizon; pad them via path_to_timeline first.
-    Groups of more than _PER_TICK_ROBOTS build events on every tick, smaller
-    ones only on the ticks that _pair_scan flags; _tick_events builds both.
+    Timelines must share one horizon and distinct robot ids; pad them via
+    path_to_timeline first. Groups of more than _PER_TICK_ROBOTS build
+    events on every tick, for the robots still moving, and index the parked
+    ones (_moving_then_parked); smaller ones build them only on the ticks
+    that _pair_scan flags. _tick_events builds a tick's events in both.
     """
     tls = list(timelines)
     if len({tl.horizon for tl in tls}) > 1:
         raise ValueError("timelines have mismatched horizons; pad them first")
     tls.sort(key=lambda tl: tl.robot_id)
     ids = [tl.robot_id for tl in tls]
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"duplicate robot id {a}")
     cols = [tl.positions for tl in tls]
     events: list = []
     if len(tls) > _PER_TICK_ROBOTS:
-        # Rows are taken one tick at a time, so no transposed copy is held.
-        prev = None
-        for t, cur in enumerate(zip(*cols)):
-            _tick_events(t, ids, prev, cur, events)
-            prev = cur
+        _moving_then_parked(ids, cols, events)
     else:
         for t in _pair_scan(cols):
             prev = [c[t - 1] for c in cols] if t else None
             _tick_events(t, ids, prev, [c[t] for c in cols], events)
     events.sort(key=lambda e: (e.t, e.robots, e.kind))
     return tuple(events)
+
+
+def _parking_tick(positions) -> int:
+    """The first tick from which `positions` holds its last cell to the end."""
+    trailing = next(compress(count(), map(ne, reversed(positions), repeat(positions[-1]))), len(positions))
+    return len(positions) - trailing
+
+
+def _moving_then_parked(ids, cols, events) -> None:
+    """Append every event of the timelines `cols` of robots `ids`.
+
+    A robot moves up to its parking tick, the tick of its last step, and is
+    parked after it. _tick_events runs each tick over the moving robots
+    alone, against `parked`, a cell -> robot ids index that each robot
+    enters once. The events of two robots parked on one cell are appended
+    once, at the later one's entry, for every tick up to the horizon.
+    """
+    horizon = len(cols[0]) - 1
+    # In descending parking tick, the robots moving at a tick are a prefix
+    # of its row, which shrinks as they park.
+    parks, ids, cols = zip(*sorted(zip(map(_parking_tick, cols), ids, cols), key=itemgetter(0), reverse=True))
+    parked: dict = {}
+    moving = len(ids)
+    prev = None
+    for t, row in enumerate(zip(*cols)):
+        cur = row[:moving]
+        _tick_events(t, ids[:moving], prev, cur, events, parked)
+        while moving and parks[moving - 1] == t:
+            moving -= 1
+            rid, cell = ids[moving], cols[moving][-1]
+            here = parked.setdefault(cell, [])
+            for other in here:
+                pair = (other, rid) if other < rid else (rid, other)
+                events.extend(CollisionEvent(k, VERTEX, pair, (cell,)) for k in range(t + 1, horizon + 1))
+            here.append(rid)
+        if not moving:
+            break
+        prev = row[:moving]
 
 
 def _pair_scan(cols) -> set:
@@ -131,27 +174,36 @@ def _pair_scan(cols) -> set:
     return ticks
 
 
-def _tick_events(t, ids, prev, cur, events) -> None:
+def _tick_events(t, ids, prev, cur, events, parked=None) -> None:
     """Append tick t's events, given every robot's cell at t - 1 (`prev`,
-    None at t = 0) and at t (`cur`), in the order of `ids`. Set operations
-    flag a collision; only then are robots indexed by cell and by move."""
+    None at t = 0) and at t (`cur`), in the order of `ids`, and a cell ->
+    robot ids index of the robots `parked` there since before t, if any.
+    `ids` may come in any order; a pair is written lower id first. Set
+    operations flag a collision; only then are robots indexed by cell, or
+    the robots making a move whose reverse is made indexed by move."""
+    cells = set(cur)
     # Fewer distinct cells than robots: two robots share a cell.
-    if len(set(cur)) < len(ids):
+    if len(cells) < len(ids):
         at_cell: dict = {}
         for rid, cell in zip(ids, cur):
             at_cell.setdefault(cell, []).append(rid)
         for cell, here in at_cell.items():
-            for pair in combinations(here, 2):
-                events.append(CollisionEvent(t, VERTEX, pair, (cell,)))
-    # A swap is a move prev -> cur whose reverse cur -> prev is also
-    # made; a stationary robot's (cell, cell) is no move.
-    if prev is not None:
+            for a, b in combinations(here, 2):
+                events.append(CollisionEvent(t, VERTEX, (a, b) if a < b else (b, a), (cell,)))
+    # A robot on a cell that parked robots hold.
+    if parked and (held := parked.keys() & cells):
+        for b, cell in compress(zip(ids, cur), map(held.__contains__, cur)):
+            for a in parked[cell]:
+                events.append(CollisionEvent(t, VERTEX, (a, b) if a < b else (b, a), (cell,)))
+    # A swap is a move prev -> cur whose reverse cur -> prev is also made,
+    # so it needs a cell that is in both rows; a stationary robot's
+    # (cell, cell) is no move.
+    if prev is not None and not cells.isdisjoint(prev):
         moves = {(p, c) for p, c in zip(prev, cur) if p != c}
-        if not moves.isdisjoint(zip(cur, prev)):
+        if swaps := moves.intersection(zip(cur, prev)):
             movers: dict = {}
-            for rid, p, c in zip(ids, prev, cur):
-                if p != c:
-                    movers.setdefault((p, c), []).append(rid)
+            for rid, move in compress(zip(ids, zip(prev, cur)), map(swaps.__contains__, zip(prev, cur))):
+                movers.setdefault(move, []).append(rid)
             for (p, c), forward in movers.items():
                 for b in movers.get((c, p), ()):
                     for a in forward:

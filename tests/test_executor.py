@@ -197,6 +197,79 @@ class TestDetectCollisions:
         for timelines in collision_fixtures(60, seed=424242):
             assert as_tuples(detect_collisions(timelines)) == scan_collisions(timelines)
 
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_duplicate_robot_ids_rejected_on_both_paths(self, monkeypatch, threshold):
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        same_cell = [path_to_timeline(1, [Cell(0, 0)], 2), path_to_timeline(1, [Cell(0, 0)], 2)]
+        swap = [Timeline(1, (Cell(0, 0), Cell(1, 0))), Timeline(1, (Cell(1, 0), Cell(0, 0)))]
+        for group in (same_cell, swap):
+            with pytest.raises(ValueError, match="duplicate robot id 1$"):
+                detect_collisions(group + self.parked(2, group[0].horizon))
+
+    # Groups of more than _PER_TICK_ROBOTS index each robot once it has
+    # parked. `walkers` fills a group with robots that move on every tick,
+    # each along its own row, so no two of them ever meet.
+    @staticmethod
+    def walkers(count, horizon, seed):
+        rng = random.Random(seed)
+        group = []
+        for k in range(count):
+            x = rng.randrange(20)
+            path = [Cell(x + step, 30 + k) for step in range(horizon + 1)]
+            group.append(Timeline(200 + k, tuple(path)))
+        return group
+
+    def per_tick_group(self, *timelines):
+        horizon = timelines[0].horizon
+        group = list(timelines) + self.walkers(4, horizon, seed=11) + self.parked(4, horizon)
+        assert len(group) > _PER_TICK_ROBOTS
+        return group
+
+    @staticmethod
+    def events_of(events, pair):
+        return [e for e in as_tuples(events) if e[2] == pair]
+
+    def test_later_arrival_on_a_parked_robots_cell_collides_to_the_horizon(self):
+        goal = Cell(5, 10)
+        first = path_to_timeline(1, [Cell(2, 10), Cell(3, 10), Cell(4, 10), goal], 12)
+        second = path_to_timeline(2, [Cell(5, 10 + k) for k in range(7, -1, -1)], 12)
+        assert first.positions.index(goal) == 3 and second.positions.index(goal) == 7
+        group = self.per_tick_group(first, second)
+        events = detect_collisions(group)
+        assert self.events_of(events, (1, 2)) == [(t, VERTEX, (1, 2), (goal,)) for t in range(7, 13)]
+        assert as_tuples(events) == scan_collisions(group)
+
+    def test_two_robots_parking_on_one_cell_at_one_tick(self):
+        goal = Cell(5, 10)
+        a = path_to_timeline(3, [Cell(3, 10), Cell(4, 10), goal], 9)
+        b = path_to_timeline(1, [Cell(7, 10), Cell(6, 10), goal], 9)
+        group = self.per_tick_group(a, b)
+        events = detect_collisions(group)
+        assert self.events_of(events, (1, 3)) == [(t, VERTEX, (1, 3), (goal,)) for t in range(2, 10)]
+        assert as_tuples(events) == scan_collisions(group)
+
+    def test_moving_robot_crossing_a_parked_robots_cell(self):
+        # At t = 3 only robot 2 stands on a parked robot's cell: the walkers
+        # and robot 2 occupy distinct cells, so no two moving robots meet.
+        parked = path_to_timeline(1, [Cell(5, 10)], 8)
+        crossing = Timeline(2, tuple(Cell(x, 10) for x in range(2, 11)))
+        group = self.per_tick_group(parked, crossing)
+        moving = [tl.positions[3] for tl in group if len(set(tl.positions)) > 1]
+        assert len(set(moving)) == len(moving)
+        events = detect_collisions(group)
+        assert as_tuples(events) == [(3, VERTEX, (1, 2), (Cell(5, 10),))] == scan_collisions(group)
+
+    def test_trailing_waits_that_start_before_the_paths_end(self):
+        # The path itself ends in two waits, so robot 1 parks at t = 2,
+        # before its last path index (4) and the padding after it.
+        waits = path_to_timeline(1, [Cell(2, 10), Cell(3, 10), Cell(4, 10), Cell(4, 10), Cell(4, 10)], 8)
+        arrival = path_to_timeline(2, [Cell(4, 13), Cell(4, 12), Cell(4, 11), Cell(4, 10)], 8)
+        assert executor._parking_tick(waits.positions) == 2
+        group = self.per_tick_group(waits, arrival)
+        events = detect_collisions(group)
+        assert self.events_of(events, (1, 2)) == [(t, VERTEX, (1, 2), (Cell(4, 10),)) for t in range(3, 9)]
+        assert as_tuples(events) == scan_collisions(group)
+
 
 class TestSimulate:
     def test_exact_builtin_scenarios_are_collision_free(self):

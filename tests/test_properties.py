@@ -26,7 +26,7 @@ from oracles import (  # noqa: E402
     scan_collisions,
 )
 from perfplan.assignment import CostMatrix, build_cost_matrix, hungarian, unreachable_sentinel  # noqa: E402
-from perfplan.executor import detect_collisions, path_to_timeline  # noqa: E402
+from perfplan.executor import _PER_TICK_ROBOTS, detect_collisions, path_to_timeline  # noqa: E402
 from perfplan.gridworld import (  # noqa: E402
     Cell,
     GridMap,
@@ -347,26 +347,37 @@ _MOVES = ((0, 0), (0, -1), (-1, 0), (1, 0), (0, 1))
 
 
 @st.composite
-def padded_timelines(draw):
-    """2-24 lawful random walks (waits allowed) on one grid of up to 3x3, so
-    that robots meet often, padded to a shared horizon by parking each robot
-    on its last cell. Groups reach both sides of the detector's
+def padded_timelines(draw, min_robots=2, max_pad=3):
+    """`min_robots` to 24 lawful random walks (waits allowed) on one grid of
+    up to 3x3, so that robots meet often, padded to a shared horizon by
+    parking each robot on its last cell, up to `max_pad` ticks past the
+    longest walk. By default groups reach both sides of the detector's
     _PER_TICK_ROBOTS threshold."""
     grid = draw(grids(max_side=3))
     free = grid.free_cells()
     paths = {}
-    for robot_id in draw(st.lists(st.integers(0, 99), min_size=2, max_size=24, unique=True)):
+    for robot_id in draw(st.lists(st.integers(0, 99), min_size=min_robots, max_size=24, unique=True)):
         path = [draw(st.sampled_from(free))]
         for dx, dy in draw(st.lists(st.sampled_from(_MOVES), min_size=4, max_size=16)):
             nxt = Cell(path[-1].x + dx, path[-1].y + dy)
             path.append(nxt if grid.is_free(nxt) else path[-1])
         paths[robot_id] = path
-    horizon = max(len(path) for path in paths.values()) - 1 + draw(st.integers(0, 3))
+    horizon = max(len(path) for path in paths.values()) - 1 + draw(st.integers(0, max_pad))
     return [path_to_timeline(rid, path, horizon) for rid, path in paths.items()]
 
 
 @SEARCH_SETTINGS
 @given(padded_timelines())
 def test_detector_matches_exhaustive_scan(timelines):
+    got = [(e.t, e.kind, e.robots, e.cells) for e in detect_collisions(timelines)]
+    assert got == scan_collisions(timelines)
+
+
+# Every group here takes the per-tick path, and long parked tails make the
+# parked robots' index and their events to the horizon carry most ticks.
+# Drawing up to 24 walks is slow, so this takes fewer examples.
+@SETTINGS
+@given(padded_timelines(min_robots=_PER_TICK_ROBOTS + 1, max_pad=20))
+def test_detector_matches_exhaustive_scan_on_large_groups(timelines):
     got = [(e.t, e.kind, e.robots, e.cells) for e in detect_collisions(timelines)]
     assert got == scan_collisions(timelines)
