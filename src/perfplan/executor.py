@@ -89,10 +89,12 @@ def path_to_timeline(robot_id: int, path, horizon: int) -> Timeline:
 
 
 # Above this many timelines detect_collisions builds events on every tick;
-# at or below it, only on the ticks that the pair scan flags, which costs
-# less on small groups. README "Benchmark" has the crossover measurements
-# and the single-scan designs that were slower on some group size.
-_PER_TICK_ROBOTS = 8
+# at or below it, only on the ticks that the pair scan flags. The value is
+# the largest group size at which the pair scan was still the faster on
+# both the built-in warehouse and a 144x126 tiled one; README "Benchmark"
+# has that table and the single-scan designs that were slower on some
+# group size.
+_PER_TICK_ROBOTS = 5
 
 
 def detect_collisions(timelines) -> tuple:
@@ -224,19 +226,24 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
     A robot whose plan failed is recorded in failed_robots and excluded from
     collision analysis; the other robots are still replayed, so a planning
     failure is never mislabelled as a collision. A found path through a
-    blocked or off-grid cell raises RuntimeError; Timeline checks that its
-    steps are adjacent.
+    blocked, off-grid or non-integer cell raises RuntimeError; Timeline
+    checks that its steps are adjacent.
     """
     found = {rid: out for rid, out in outcomes.items() if out.found}
     grid = scenario.grid
     mask, w, width, height = grid._mask, grid.width + 2, grid.width, grid.height
     for rid, out in found.items():
-        for cell in out.path:
-            x, y = cell
-            # The range test stays: the padded index of a cell two or more
-            # steps off the grid lands on a cell of another row.
-            if not (0 <= x < width and 0 <= y < height and mask[(y + 1) * w + x + 1]):
-                raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
+        # One try per path, not a type test per cell: a coordinate that is
+        # no int fails the range test or the mask index with TypeError.
+        try:
+            for cell in out.path:
+                x, y = cell
+                # The range test stays: the padded index of a cell two or more
+                # steps off the grid lands on a cell of another row.
+                if not (0 <= x < width and 0 <= y < height and mask[(y + 1) * w + x + 1]):
+                    raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
+        except TypeError:
+            raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}") from None
     failed = tuple(rid for rid, out in outcomes.items() if not out.found)
     horizon = max((out.edges for out in found.values()), default=0)
     timelines = tuple(path_to_timeline(rid, out.path, horizon) for rid, out in found.items())

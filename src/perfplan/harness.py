@@ -186,17 +186,18 @@ def _resample_tasks(scenario: Scenario, rng: random.Random, labels, free_cells):
 
 
 def _build_trials(scenario: Scenario, n_trials: int, seed: int) -> list:
-    """Trial 0 is the scenario verbatim; later trials re-sample start/goal
-    pairs (waypoints dropped) and are re-drawn until their exact paths are
-    mutually collision-free. Each trial keeps its exact report: its exact
-    plans passed every replay check and do not collide.
+    """Trial 0 is the scenario verbatim, refused if its exact plans fail or
+    collide; later trials re-sample start/goal pairs (waypoints dropped) and
+    are re-drawn until their exact replay is `safe`. A trial is (scenario,
+    exact outcomes): its exact plans are found, lawful and collision-free.
     """
-    exact_report = simulate(scenario, NO_PERFORATION)
-    if exact_report.collisions:
+    report = simulate(scenario, NO_PERFORATION)
+    if not report.safe:
         raise ValueError(
-            "scenario's own exact paths collide; the study needs trials "
-            "whose exact plans are collision-free")
-    trials = [(scenario, exact_report)]
+            f"scenario's own exact plans fail; robots without a path: {', '.join(map(str, report.failed_robots))}"
+            if report.failed_robots else
+            "scenario's own exact paths collide; the study needs trials whose exact plans are collision-free")
+    trials = [(scenario, report.outcomes)]
     labels = component_labels(scenario.grid)
     free_cells = scenario.grid.free_cells()
     for trial in range(1, n_trials):
@@ -205,9 +206,9 @@ def _build_trials(scenario: Scenario, n_trials: int, seed: int) -> list:
             candidate = _resample_tasks(scenario, rng, labels, free_cells)
             if candidate is None:
                 break
-            exact_report = simulate(candidate, NO_PERFORATION)
-            if not exact_report.collisions:
-                trials.append((candidate, exact_report))
+            report = simulate(candidate, NO_PERFORATION)
+            if report.safe:
+                trials.append((candidate, report.outcomes))
                 break
         if len(trials) == trial:  # no draw was accepted
             raise ValueError(f"trial {trial}: no collision-free task variation in {_MAX_DRAWS} draws")
@@ -229,14 +230,13 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
         spec = PerforationSpec.from_rate(rate)
         n_collision = 0
         proxies = []
-        for trial_scenario, exact_report in trials:
-            exact = exact_report.outcomes
+        for trial_scenario, exact in trials:
             outcomes = {task.robot_id: plan_multi_leg(trial_scenario.grid, task, spec)
                         for task in trial_scenario.tasks}
             for rid, out in outcomes.items():
                 proxies.append(speedup_proxy(
                     exact[rid].expansions, perforated_cost(out.expansions, out.skipped)))
-            # The exact plans were replayed clean when the trial was built;
+            # The exact plans were replayed safe when the trial was built;
             # the same paths give the same timelines, so only a changed plan
             # set is replayed. Paths share the grid's Cells: `!=` is cheap.
             if (any(out.path != exact[rid].path for rid, out in outcomes.items())

@@ -24,14 +24,15 @@ from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, man
 
 
 def bfs_distance(grid, start, goal):
-    """Shortest path length in edges on the 4-connected grid, or None."""
+    """Shortest path length in edges on the 4-connected grid, or None,
+    by breadth-first search over `naive_neighbors`."""
     if start == goal:
         return 0
     seen = {start}
     frontier = deque([(start, 0)])
     while frontier:
         cell, d = frontier.popleft()
-        for nb in grid.neighbors(cell):
+        for nb in naive_neighbors(grid, cell):
             if nb in seen:
                 continue
             if nb == goal:
@@ -249,11 +250,11 @@ def reference_collision_study(scenario, rates, n_trials, seed):
         spec = PerforationSpec.from_rate(rate)
         n_collision = 0
         proxies = []
-        for trial_scenario, exact_report in trials:
+        for trial_scenario, exact in trials:
             report = simulate(trial_scenario, spec)
             for rid, out in report.outcomes.items():
                 proxies.append(speedup_proxy(
-                    exact_report.outcomes[rid].expansions, perforated_cost(out.expansions, out.skipped)))
+                    exact[rid].expansions, perforated_cost(out.expansions, out.skipped)))
             n_collision += bool(report.collisions)
         rows.append(CollisionRow(rate, n_trials, 100 * n_collision / n_trials, fmean(proxies)))
     return rows

@@ -200,6 +200,16 @@ class TestReportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: trial 1: no collision-free task variation")
 
+    def test_collisions_on_scenario_whose_exact_plans_fail_is_one(self, tmp_path, capsys):
+        # A wall splits the map and robot 1's goal lies beyond it.
+        path = tmp_path / "split.scen"
+        path.write_text("map 5 3\n..#..\n..#..\n..#..\n"
+                        "robot 1 start 0,0 goal 4,0\nrobot 2 start 0,2 goal 1,2\n")
+        assert main(["collisions", str(path), "--trials", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scenario's own exact plans fail; robots without a path: 1\n"
+
     def test_sweep_without_drawable_endpoints_is_one(self, isolated_pair_grid, tmp_path, capsys):
         path = tmp_path / "sparse.scen"
         path.write_text(render_scenario(Scenario("sparse", isolated_pair_grid, ())))

@@ -197,6 +197,25 @@ class TestDetectCollisions:
         for timelines in collision_fixtures(60, seed=424242):
             assert as_tuples(detect_collisions(timelines)) == scan_collisions(timelines)
 
+    # Groups of 3 to 8 robots straddle the threshold: each path is forced on
+    # every size. Walks of unequal length, padded to one horizon, park
+    # robots early, so the per-tick path indexes parked robots too.
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    @pytest.mark.parametrize("robots", range(3, 9))
+    def test_both_paths_match_exhaustive_scan_on_three_to_eight_robots(self, monkeypatch, threshold, robots):
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        rng = random.Random(robots)
+        grid = GridMap(width=4, height=4, blocked=frozenset())
+        kinds = set()
+        for _ in range(30):
+            horizon = rng.randrange(2, 16)
+            walks = [random_walk_timeline(grid, rng, rid, rng.randrange(horizon + 1)) for rid in range(1, robots + 1)]
+            group = [path_to_timeline(walk.robot_id, walk.positions, horizon) for walk in walks]
+            events = as_tuples(detect_collisions(group))
+            assert events == scan_collisions(group)
+            kinds.update(kind for _, kind, _, _ in events)
+        assert kinds == {VERTEX, EDGE}
+
     @pytest.mark.parametrize("threshold", [0, 10**6])
     def test_duplicate_robot_ids_rejected_on_both_paths(self, monkeypatch, threshold):
         monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
@@ -318,11 +337,14 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell 1,0$"):
             simulate(scenario)
 
-    @pytest.mark.parametrize("off", [Cell(-2, 0), Cell(-3, 1), Cell(5, 0), Cell(0, -3), Cell(0, 3)])
+    @pytest.mark.parametrize("off", [Cell(-2, 0), Cell(-3, 1), Cell(5, 0), Cell(0, -3), Cell(0, 3),
+                                     Cell(0.5, 0), Cell(0, 0.5), Cell("1", 0)])
     def test_found_path_off_the_grid_is_rejected(self, monkeypatch, off):
         # On this 3x2 grid the padded mask index of (-3, 1) and (5, 0) lands
         # on a free cell of another row, (0, -3) wraps to the last row and
         # (0, 3) lies past the mask's end: only the range test rejects them.
+        # A coordinate that is no int fails the mask index or the range
+        # test with TypeError, which replay reports as the same error.
         grid = GridMap(width=3, height=2, blocked=frozenset())
         scenario = Scenario("edge", grid, (RobotTask(1, Cell(0, 0), Cell(0, 1)),))
         off_grid = PlanOutcome(FOUND, (Cell(0, 0), off, Cell(0, 1)), 3, 0)

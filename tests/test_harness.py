@@ -221,6 +221,16 @@ class TestCollisionStudy:
         with pytest.raises(ValueError, match="collide"):
             collision_study(head_on, rates=[Fraction(0)], n_trials=1)
 
+    def test_rejects_scenario_whose_exact_plans_fail(self):
+        # A wall splits the map, so robot 1's exact search fails. No two
+        # found paths collide, but a trial without an exact baseline has
+        # neither a speedup nor a collision to measure against.
+        grid = GridMap(width=5, height=3, blocked=frozenset(Cell(2, y) for y in range(3)))
+        split = Scenario("split", grid, (
+            RobotTask(1, Cell(0, 0), Cell(4, 0)), RobotTask(2, Cell(0, 2), Cell(1, 2))))
+        with pytest.raises(ValueError, match=r"exact plans fail; robots without a path: 1$"):
+            collision_study(split, n_trials=3)
+
     def test_exact_baseline_paths_are_checked_too(self, monkeypatch):
         # Only the exact plan of robot 1 crosses the blocked cell (2,1); the
         # perforated replays are lawful, so only a check of the exact
