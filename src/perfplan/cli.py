@@ -1,8 +1,10 @@
 """Command-line front end: plan, simulate, sweep, collisions, assign.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when `plan` finds no
-path (planning failure is an expected outcome at high perforation rates, so
-it gets its own code instead of being lumped in with bad input).
+path or `simulate` leaves a robot without one (planning failure is an
+expected outcome at high perforation rates, so it gets its own code instead
+of being lumped in with bad input). `simulate` prints its whole report
+either way.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _cmd_simulate(args) -> int:
     print(_render_grid(scenario.grid, marks))
     if args.trace == "-":
         sys.stdout.write(trace)
-    return 0
+    return 2 if report.failed_robots else 0
 
 
 def _emit(rows, args) -> int:

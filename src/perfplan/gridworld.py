@@ -148,11 +148,13 @@ def _check_task(grid: GridMap, task: RobotTask, seen_ids: set) -> None:
     if rid in seen_ids:
         raise ValueError(f"duplicate robot id {rid}")
     seen_ids.add(rid)
+    w, mask = grid.width + 2, grid._mask
     for label, cell in [("start", task.start), ("goal", task.goal)] + [
-            ("waypoint", w) for w in task.waypoints]:
+            ("waypoint", c) for c in task.waypoints]:
         if not grid.in_bounds(cell):
             raise ValueError(f"robot {rid} {label} {cell} is out of range")
-        if not grid.is_free(cell):
+        x, y = cell
+        if not mask[(y + 1) * w + x + 1]:
             raise ValueError(f"robot {rid} {label} on blocked cell {cell}")
     if task.start == task.goal and not task.waypoints:
         raise ValueError(f"robot {rid} start equals goal without waypoints")

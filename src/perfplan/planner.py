@@ -161,20 +161,23 @@ def _schedule(spec: PerforationSpec, extent: int | None, n: int):
 
 def _astar(grid: GridMap, start: Cell, goal: Cell,
            spec: PerforationSpec, extent: int | None) -> PlanOutcome:
-    for label, cell in (("start", start), ("goal", goal)):
-        if not grid.is_free(cell):
-            raise ValueError(f"{label} {Cell(*cell)} is blocked or out of range")
-    (x0, y0), (x1, y1) = start, goal
-
     # Cells are indices into the grid's padded occupancy mask; the border
-    # is 0, so a neighbor index never needs a bounds check. Closing a cell
-    # zeroes its byte: one lookup tests "free and not closed".
+    # is 0, so a neighbor index never needs a bounds check. An endpoint's
+    # index is computed only once `in_bounds` has passed it: an off-grid
+    # index can wrap onto a free cell of another row.
+    (x0, y0), (x1, y1) = start, goal
     w = grid.width + 2
-    open_ = bytearray(grid._mask)
+    mask = grid._mask
+    if not (grid.in_bounds(start) and mask[src := (y0 + 1) * w + x0 + 1]):
+        raise ValueError(f"start {Cell(*start)} is blocked or out of range")
+    if not (grid.in_bounds(goal) and mask[dst := (y1 + 1) * w + x1 + 1]):
+        raise ValueError(f"goal {Cell(*goal)} is blocked or out of range")
+
+    # Closing a cell zeroes its byte: one lookup tests "free and not closed".
+    open_ = bytearray(mask)
     n = len(open_)
     hm = grid.width + grid.height  # exceeds every h
     gx, gy = x1 + 1, y1 + 1
-    src, dst = (y0 + 1) * w + x0 + 1, gy * w + gx
     # Every iteration but the last closes a cell, so no index reaches n.
     runs_in_full = _schedule(spec, extent, n).__next__
     # One int heap key (f*hm + h)*n + cell orders like (f, h, y, x): ties
@@ -339,8 +342,12 @@ def plan_multi_leg(grid: GridMap, task: RobotTask,
     """Plan start -> waypoints... -> goal as independent perforated legs.
 
     Leg paths are concatenated with junction cells deduplicated; counters are
-    summed. Fails with the 0-based failing leg index if any leg fails.
+    summed. Fails with the 0-based failing leg index if any leg fails. A task
+    without waypoints is one leg, and its plan is that search's outcome.
     """
+    if not task.waypoints:
+        out = astar_perforated(grid, task.start, task.goal, spec)
+        return out if out.found else replace(out, failed_leg=0)
     path = [task.start]
     expansions = 0
     skipped = 0

@@ -5,10 +5,10 @@ distances, full permutation enumeration for assignments, and a literal
 per-tick scan for collisions.  The production code must agree with these
 on every fixture; the oracles themselves are kept simple enough to audit
 by eye.  `reference_astar` is A* on `Cell`s, a closed set and tuple heap
-keys; the flat-array kernel `planner._astar` must reproduce it exactly,
-counters included.  `reference_collision_study` runs a full `simulate` of
-every trial at every rate, where `harness.collision_study` replays only the
-trials whose plans changed.
+keys, over `naive_neighbors`; the flat-array kernel `planner._astar` must
+reproduce it exactly, counters included.  `reference_collision_study` runs
+a full `simulate` of every trial at every rate, where
+`harness.collision_study` replays only the trials whose plans changed.
 """
 
 import heapq
@@ -82,11 +82,15 @@ def _reconstruct(came_from, cur):
 
 
 def reference_astar(grid, start, goal, spec, extent):
-    """Same contract as `planner._astar`: status, path and counters."""
+    """Same contract as `planner._astar`: status, path and counters. It
+    shares nothing with the kernel's grid reads: endpoints are checked here
+    against the grid's size and `grid.blocked`, and successors come from
+    `naive_neighbors`."""
     start, goal = Cell(*start), Cell(*goal)
-    for label, cell in (("start", start), ("goal", goal)):
-        if not grid.is_free(cell):
-            raise ValueError(f"{label} {cell} is blocked or out of range")
+    for label, (x, y) in (("start", start), ("goal", goal)):
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < grid.width and 0 <= y < grid.height
+                and Cell(x, y) not in grid.blocked):
+            raise ValueError(f"{label} {Cell(x, y)} is blocked or out of range")
 
     h0 = manhattan(start, goal)
     # Heap keys: (f, h, y, x) -- ties broken by lower h, then row-major cell.
@@ -107,7 +111,7 @@ def reference_astar(grid, start, goal, spec, extent):
             return PlanOutcome(FOUND, _reconstruct(came_from, cur), expansions, skipped)
         closed.add(cur)
         ng = g[cur] + 1
-        successors = grid.neighbors(cur)
+        successors = naive_neighbors(grid, cur)
         # This iteration's index: every earlier one was counted once.
         if spec is not None and not perforation_schedule(spec, expansions + skipped, extent):
             skipped += 1

@@ -107,7 +107,7 @@ class TestSimulateOutput:
         tasks = (RobotTask(1, Cell(1, 4), Cell(16, 9)), RobotTask(2, Cell(2, 7), Cell(14, 19)))
         path = tmp_path / "onefails.scen"
         path.write_text(render_scenario(Scenario("onefails", grid, tasks)))
-        assert main(["simulate", str(path), "--rate", "17/20"]) == 0
+        assert main(["simulate", str(path), "--rate", "17/20"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert "robot 1: planning failed (leg 0)" in lines
         (robot2,) = [line for line in lines if line.startswith("robot 2: ")]

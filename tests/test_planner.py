@@ -13,9 +13,11 @@ import pytest
 from oracles import bfs_distance, reference_astar
 from perfplan import planner
 from perfplan.gridworld import (
+    BUILTIN_NAMES,
     Cell,
     GridMap,
     RobotTask,
+    Scenario,
     builtin_scenario,
     random_endpoints,
 )
@@ -512,7 +514,68 @@ class TestKernelMatchesReference:
                         == reference_astar(WAREHOUSE, start, goal, spec, None))
 
 
+# Warehouse queries whose perforated search dead-ends in some mode at 3/4 or
+# 22/25 (random mode at seed 7), so a one-leg plan's failure is covered.
+DEAD_END_QUERIES = [(Cell(1, 2), Cell(16, 9)), (Cell(0, 6), Cell(11, 9)), (Cell(14, 0), Cell(20, 20)),
+                    (Cell(13, 3), Cell(18, 7)), (Cell(18, 3), Cell(9, 5))]
+
+# One blocked cell on a 5x3 map. (7, 0) is three columns off the grid, and
+# its padded mask index wraps onto the free cell (0, 1) of the next row.
+ENDPOINT_GRID = GridMap(5, 3, frozenset({Cell(2, 1)}))
+BAD_ENDPOINTS = {"blocked": Cell(2, 1), "one-column-off": Cell(5, 0),
+                 "three-columns-off": Cell(7, 0), "non-integer": Cell(0.5, 0)}
+ENTRY_POINTS = {
+    "astar_exact": lambda s, g: astar_exact(ENDPOINT_GRID, s, g),
+    "astar_perforated": lambda s, g: astar_perforated(ENDPOINT_GRID, s, g, PerforationSpec(TRUNCATION, 1, 2)),
+    "plan_multi_leg": lambda s, g: plan_multi_leg(ENDPOINT_GRID, RobotTask(1, s, g), PerforationSpec(MODULO, 3, 4)),
+    "Scenario": lambda s, g: Scenario("bad", ENDPOINT_GRID, (RobotTask(1, s, g),)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ENDPOINTS)
+@pytest.mark.parametrize("end", ["start", "goal"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_bad_endpoint_is_refused_with_its_message(entry, end, case):
+    cell = BAD_ENDPOINTS[case]
+    if case == "three-columns-off":
+        assert ENDPOINT_GRID._mask[(cell.y + 1) * (ENDPOINT_GRID.width + 2) + cell.x + 1] == 1
+    start, goal = (cell, Cell(4, 2)) if end == "start" else (Cell(0, 0), cell)
+    if entry != "Scenario":
+        message = f"{end} {cell} is blocked or out of range"
+    elif case == "blocked":
+        message = f"robot 1 {end} on blocked cell {cell}"
+    else:
+        message = f"robot 1 {end} {cell} is out of range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](start, goal)
+
+
 class TestMultiLeg:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_one_leg_plan_is_its_search(self, name, mode):
+        # A task without waypoints is planned by one search, whose outcome
+        # is the plan, with failed_leg 0 when it fails. Truncation's
+        # expansions include the exact search that sized its loop.
+        grid = builtin_scenario(name).grid
+        queries = random_endpoints(grid, 5, 20) + (DEAD_END_QUERIES if name == "warehouse" else [])
+        failures = 0
+        for rate in (Fraction(0), Fraction(3, 4), Fraction(22, 25)):
+            spec = PerforationSpec.from_rate(rate, mode, seed=7)
+            for start, goal in queries:
+                extent = reference_astar(grid, start, goal, None, None).expansions
+                want = reference_astar(grid, start, goal, spec, extent)
+                if spec.skip and mode == TRUNCATION:
+                    want = replace(want, expansions=want.expansions + extent)
+                if not want.found:
+                    want = replace(want, failed_leg=0)
+                    failures += 1
+                out = plan_multi_leg(grid, RobotTask(1, start, goal), spec)
+                assert out == want, (start, goal, spec)
+                direct = astar_perforated(grid, start, goal, spec)
+                assert out == (direct if direct.found else replace(direct, failed_leg=0))
+        assert failures > 0 or name == "room"
+
     def test_single_leg_matches_direct_search(self):
         task = RobotTask(1, Cell(5, 4), Cell(21, 19))
         spec = PerforationSpec(MODULO, 1, 5)
