@@ -53,7 +53,10 @@ class Timeline:
         return len(self.positions) - 1
 
 
-@dataclass(frozen=True)
+# Slots: two robots parked on one cell make an event per tick to the
+# horizon, so a replay can hold thousands, and a slotted event is 40 bytes
+# smaller than one with a dict.
+@dataclass(frozen=True, slots=True)
 class CollisionEvent:
     """One detected conflict: `cells` holds the shared cell (vertex) or the
     swapped pair ordered by the lower robot id's pre-swap cell (edge)."""
@@ -155,9 +158,10 @@ def _moving_then_parked(ids, cols, events) -> None:
             moving -= 1
             rid, cell = ids[moving], cols[moving][-1]
             here = parked.setdefault(cell, [])
+            at = (cell,)  # shared by the pair's events at every tick
             for other in here:
                 pair = (other, rid) if other < rid else (rid, other)
-                events.extend(CollisionEvent(k, VERTEX, pair, (cell,)) for k in range(t + 1, horizon + 1))
+                events.extend(CollisionEvent(k, VERTEX, pair, at) for k in range(t + 1, horizon + 1))
             here.append(rid)
         if not moving:
             break

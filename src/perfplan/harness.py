@@ -171,14 +171,14 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
 
 
 def _resample_tasks(scenario: Scenario, rng: random.Random, labels, free_cells):
-    """Fresh start/goal pairs for every robot, or None if some robot finds no
-    valid pair within _MAX_DRAWS draws."""
+    """Fresh start/goal pairs for every robot. Raises ValueError naming the
+    first robot that finds no valid pair within _MAX_DRAWS draws."""
     tasks = []
     used_starts, used_goals = set(), set()
     for base in scenario.tasks:
         pair = _draw_pair(rng, free_cells, labels, (used_starts, used_goals))
         if pair is None:
-            return None
+            raise ValueError(f"robot {base.robot_id} drew no start/goal pair in {_MAX_DRAWS} draws")
         used_starts.add(pair[0])
         used_goals.add(pair[1])
         tasks.append(RobotTask(base.robot_id, *pair))
@@ -202,15 +202,17 @@ def _build_trials(scenario: Scenario, n_trials: int, seed: int) -> list:
     free_cells = scenario.grid.free_cells()
     for trial in range(1, n_trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        for _ in range(_MAX_DRAWS):
-            candidate = _resample_tasks(scenario, rng, labels, free_cells)
-            if candidate is None:
-                break
+        for tried in range(_MAX_DRAWS):
+            try:
+                candidate = _resample_tasks(scenario, rng, labels, free_cells)
+            except ValueError as dry:
+                raise ValueError(f"trial {trial}: no collision-free task variation: {dry}, "
+                                 f"after {tried} variation{'' if tried == 1 else 's'}") from None
             report = simulate(candidate, NO_PERFORATION)
             if report.safe:
                 trials.append((candidate, report.outcomes))
                 break
-        if len(trials) == trial:  # no draw was accepted
+        else:
             raise ValueError(f"trial {trial}: no collision-free task variation in {_MAX_DRAWS} draws")
     return trials
 

@@ -10,15 +10,16 @@ is a free neighbor of a visited cell, so found paths are always obstacle-free
 and step-adjacent at any rate; at extreme rates the probe can dead-end and
 the search may legally fail.
 
-The smallest key an iteration queues is carried past the heap. While it is
-below every key in the heap, the next iteration takes its cell directly, so
-the search chains from iteration to iteration without a heap operation. The
-carried cell's coordinates and heuristic go with it, from a full iteration
-or a perforated step alike, so only a cell taken from the heap is decoded.
-Each neighbor's heuristic is the current one plus or minus 1: on a 4-grid a
-step changes the Manhattan distance by exactly one. Only when the heap holds
-a smaller key does the carried one go through the heap. Pop order, and with
-it every path and counter, is that of a search that queues every key.
+The open list has two levels. On a 4-grid a step changes the Manhattan
+distance by exactly one, so a successor's f is its parent's (a step toward
+the goal) or its parent's + 2, and the cell being expanded always has the
+smallest f queued: only that f, F, needs a heap, and the cells of F + 2
+wait in a plain list until the heap runs dry. A cell's g follows from the
+level it is popped at, so a pop reads no g. The first neighbor toward the
+goal that an iteration queues has the smallest key of all, so the next
+iteration takes it directly, from a full iteration or a perforated step
+alike, and a cell is decoded only after a heap pop. Pop order, and with it
+every path and counter, is that of a search with one heap over (f, h, y, x).
 """
 
 from __future__ import annotations
@@ -176,33 +177,30 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     # Closing a cell zeroes its byte: one lookup tests "free and not closed".
     open_ = bytearray(mask)
     n = len(open_)
-    hm = grid.width + grid.height  # exceeds every h
     gx, gy = x1 + 1, y1 + 1
     # Every iteration but the last closes a cell, so no index reaches n.
     runs_in_full = _schedule(spec, extent, n).__next__
-    # One int heap key (f*hm + h)*n + cell orders like (f, h, y, x): ties
-    # broken by lower h, then row-major cell. Keys are unique (a cell is
-    # re-queued only with a lower g), so the pop order depends only on the
-    # set of queued keys. The smallest key an iteration queues is carried
-    # past the heap: while the heap is empty or its smallest key is larger,
-    # the next iteration takes the carried cell directly, which is open and
-    # has g = ng, so a run of such iterations (a chain) makes no heap call
-    # at all. Otherwise heappushpop queues it and takes the heap's smallest.
-    open_heap: list = []
+    # The open list has two levels. A step changes h by exactly 1, so a
+    # successor has cur's f and h - 1 (a step toward the goal) or f + 2
+    # and h + 1 (any other), and cur's f is the smallest queued. `now` is
+    # a heap of the level F being popped, `later` a list of level F + 2;
+    # both hold int keys h*n + cell, which order like (h, y, x). When `now`
+    # runs dry, `later` is heapified into it and F rises by 2.
+    now: list = []
+    later: list = []
     g = {src: 0}
     came_from: dict = {}
     expansions = 0
     skipped = 0
-    pop, push, pushpop = heapq.heappop, heapq.heappush, heapq.heappushpop
+    pop, push, heapify = heapq.heappop, heapq.heappush, heapq.heapify
     cur, ng = src, 1
-    # x, y (padded) and h are cur's. They are decoded for the start and for
-    # a cell taken from the heap; a carried cell brings its own, from a full
-    # iteration or a perforated step alike, so a chain decodes no cell.
+    # x, y (padded) and h are cur's: decoded for a cell taken from `now`,
+    # moved along with a cell taken directly.
     x, y = x0 + 1, y0 + 1
-    h = abs(x - gx) + abs(y - gy)
+    f = h = abs(x - gx) + abs(y - gy)
 
     while True:
-        # cur is open and its g is ng - 1.
+        # cur is open, has the smallest (f, h, cell) queued, and its g is ng - 1.
         if cur == dst:
             expansions += 1
             path = [cur]
@@ -216,106 +214,97 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
             return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in reversed(path)]),
                                expansions, skipped)
         open_[cur] = 0
-        # A step toward the goal lowers h by 1 and any other raises it by 1,
-        # so each neighbor's h is h - 1 or h + 1.
+        # The first successor toward the goal that an iteration queues has
+        # a key below cur's, so below every key in `now`: the next iteration
+        # takes it directly, with no key and no heap call.
+        nxt = 0  # a border index, never open
         if runs_in_full():
             expansions += 1
-            # The four neighbors, unrolled in row-major order. The first
-            # one queued is carried; a smaller key queued later displaces
-            # it into the heap. The carried cell's x, y and h go with it.
+            # The four neighbors, unrolled in row-major order; up, being
+            # first, is taken directly whenever it is toward the goal.
             nb = cur - w
             if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
                 g[nb] = ng
                 came_from[nb] = cur
-                hn = h - 1 if y > gy else h + 1
-                carried, nxt, cx, cy, ch = ((ng + hn) * hm + hn) * n + nb, nb, x, y - 1, hn
-            else:
-                carried = 0  # keys are >= 1
+                if y > gy:
+                    nxt, nx, ny = nb, x, y - 1
+                else:
+                    later.append((h + 1) * n + nb)
             nb = cur - 1
             if open_[nb] and ng < g.get(nb, n):
                 g[nb] = ng
                 came_from[nb] = cur
-                hn = h - 1 if x > gx else h + 1
-                k = ((ng + hn) * hm + hn) * n + nb
-                if not carried:
-                    carried, nxt, cx, cy, ch = k, nb, x - 1, y, hn
-                elif k < carried:
-                    push(open_heap, carried)
-                    carried, nxt, cx, cy, ch = k, nb, x - 1, y, hn
+                if x <= gx:
+                    later.append((h + 1) * n + nb)
+                elif nxt:
+                    push(now, (h - 1) * n + nb)
                 else:
-                    push(open_heap, k)
+                    nxt, nx, ny = nb, x - 1, y
             nb = cur + 1
             if open_[nb] and ng < g.get(nb, n):
                 g[nb] = ng
                 came_from[nb] = cur
-                hn = h - 1 if x < gx else h + 1
-                k = ((ng + hn) * hm + hn) * n + nb
-                if not carried:
-                    carried, nxt, cx, cy, ch = k, nb, x + 1, y, hn
-                elif k < carried:
-                    push(open_heap, carried)
-                    carried, nxt, cx, cy, ch = k, nb, x + 1, y, hn
+                if x >= gx:
+                    later.append((h + 1) * n + nb)
+                elif nxt:
+                    push(now, (h - 1) * n + nb)
                 else:
-                    push(open_heap, k)
+                    nxt, nx, ny = nb, x + 1, y
             nb = cur + w
             if open_[nb] and ng < g.get(nb, n):
                 g[nb] = ng
                 came_from[nb] = cur
-                hn = h - 1 if y < gy else h + 1
-                k = ((ng + hn) * hm + hn) * n + nb
-                if not carried:
-                    carried, nxt, cx, cy, ch = k, nb, x, y + 1, hn
-                elif k < carried:
-                    push(open_heap, carried)
-                    carried, nxt, cx, cy, ch = k, nb, x, y + 1, hn
+                if y >= gy:
+                    later.append((h + 1) * n + nb)
+                elif nxt:
+                    push(now, (h - 1) * n + nb)
                 else:
-                    push(open_heap, k)
-            if carried:
-                x, y, h = cx, cy, ch
+                    nxt, nx, ny = nb, x, y + 1
         else:
             skipped += 1
-            carried = 0
             # Degraded expansion: queue only the most promising successor,
             # the first open neighbor (row-major) with the lowest h: the
-            # first open one toward the goal, else the first open one. Its
-            # x, y and h go with it.
+            # first open one toward the goal, taken directly, else the
+            # first open one, for `later`.
             if y > gy and open_[cur - w]:
-                nxt, y, h = cur - w, y - 1, h - 1
+                nxt, nx, ny = cur - w, x, y - 1
             elif x > gx and open_[cur - 1]:
-                nxt, x, h = cur - 1, x - 1, h - 1
+                nxt, nx, ny = cur - 1, x - 1, y
             elif x < gx and open_[cur + 1]:
-                nxt, x, h = cur + 1, x + 1, h - 1
+                nxt, nx, ny = cur + 1, x + 1, y
             elif y < gy and open_[cur + w]:
-                nxt, y, h = cur + w, y + 1, h - 1
-            elif open_[cur - w]:
-                nxt, y, h = cur - w, y - 1, h + 1
-            elif open_[cur - 1]:
-                nxt, x, h = cur - 1, x - 1, h + 1
-            elif open_[cur + 1]:
-                nxt, x, h = cur + 1, x + 1, h + 1
-            elif open_[cur + w]:
-                nxt, y, h = cur + w, y + 1, h + 1
-            else:
-                nxt = cur  # a dead end: g[cur] is ng - 1, so nothing is queued
-            if ng < g.get(nxt, n):
-                g[nxt] = ng
-                came_from[nxt] = cur
-                carried = ((ng + h) * hm + h) * n + nxt
-        if carried:
-            if not open_heap or carried < open_heap[0]:
-                cur = nxt
-                ng += 1
-                continue
-            cur = pushpop(open_heap, carried) % n
-        else:
-            cur = 0  # a border index, never open: the loop below pops
-        while not open_[cur]:  # nothing queued, or a stale heap entry
-            if not open_heap:
-                return PlanOutcome(NOT_FOUND, (), expansions, skipped)
-            cur = pop(open_heap) % n
-        ng = g[cur] + 1
+                nxt, nx, ny = cur + w, x, y + 1
+            elif ((open_[nb := cur - w] or open_[nb := cur - 1] or open_[nb := cur + 1]
+                   or open_[nb := cur + w]) and ng < g.get(nb, n)):
+                g[nb] = ng
+                came_from[nb] = cur
+                later.append((h + 1) * n + nb)
+            if nxt:
+                if ng < g.get(nxt, n):
+                    g[nxt] = ng
+                    came_from[nxt] = cur
+                else:
+                    nxt = 0
+        if nxt:
+            cur, x, y = nxt, nx, ny
+            h -= 1
+            ng += 1
+            continue
+        # Nothing was taken directly: pop `now`, skipping stale entries.
+        while True:
+            if not now:
+                if not later:
+                    return PlanOutcome(NOT_FOUND, (), expansions, skipped)
+                now, later = later, now
+                heapify(now)
+                f += 2
+            h, cur = divmod(pop(now), n)
+            if open_[cur]:
+                break
+        # A lower g would have queued cur two levels lower, so a live entry
+        # carries cur's g: f - h.
+        ng = f - h + 1
         y, x = divmod(cur, w)
-        h = abs(x - gx) + abs(y - gy)
 
 
 def astar_exact(grid: GridMap, start: Cell, goal: Cell) -> PlanOutcome:

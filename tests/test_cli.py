@@ -200,6 +200,20 @@ class TestReportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: trial 1: no collision-free task variation")
 
+    def test_collisions_names_the_robot_whose_draw_ran_dry(self, tmp_path, capsys):
+        # On the same corridor, trial 1's first five variations collide. In
+        # the sixth, robots 1 and 2 take two cells as starts and two as
+        # goals, and the one start left for robot 3 is the one goal left,
+        # so its draw runs dry.
+        path = tmp_path / "corridor.scen"
+        path.write_text("map 3 1\n...\n" + "".join(
+            f"robot {i + 1} start {i},0 via {i},0 goal {i},0\n" for i in range(3)))
+        assert main(["collisions", str(path), "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: trial 1: no collision-free task variation: robot 3 drew no"
+                                " start/goal pair in 1000 draws, after 5 variations\n")
+
     def test_collisions_on_scenario_whose_exact_plans_fail_is_one(self, tmp_path, capsys):
         # A wall splits the map and robot 1's goal lies beyond it.
         path = tmp_path / "split.scen"

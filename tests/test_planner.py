@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from oracles import bfs_distance, reference_astar
 from perfplan import planner
 from perfplan.gridworld import (
@@ -338,56 +339,63 @@ def _seeded_query(seed):
 
 def _search_events(monkeypatch, grid, start, goal, spec, handed=None):
     """Run `_astar` and return its outcome and what it did, in order: "F"
-    or "P" for each schedule draw (full or perforated iteration), and
-    "push", "pop" or "pushpop" for each heap call; "pushpop" becomes
-    "pushpop back" if it hands back the key it was given. Each key handed
-    to the heap is appended to `handed`, if given."""
+    or "P" for each schedule draw (full or perforated iteration), "push"
+    and "pop" for each call on the heap of the current level, and
+    "promote" for each heapify of the next level into it; "promote"
+    becomes "promote early" if the heap last pushed or popped still holds
+    keys. Each key pushed or promoted is appended to `handed`, if given."""
     events = []
+    touched = [[]]  # the heaps handed to the spies, latest last
 
     def spy(name):
         fn = getattr(heapq, name)
 
-        def call(*args):
+        def call(heap, *key):
+            if name == "heapify":
+                events.append("promote early" if touched[-1] else "promote")
+            else:
+                events.append(name[4:])
+            touched.append(heap)
             if handed is not None and name != "heappop":
-                handed.append(args[-1])
-            out = fn(*args)
-            events.append(name[4:] + (" back" if out == args[-1] else ""))
-            return out
+                handed.extend(key or heap)
+            return fn(heap, *key)
         return call
 
     schedule = planner._schedule
     monkeypatch.setattr(planner, "_schedule", lambda *args: (
         events.append("F" if full else "P") or full for full in schedule(*args)))
     monkeypatch.setattr(planner, "heapq", SimpleNamespace(
-        heappush=spy("heappush"), heappop=spy("heappop"), heappushpop=spy("heappushpop")))
+        heappush=spy("heappush"), heappop=spy("heappop"), heapify=spy("heapify")))
     out = _astar(grid, start, goal, spec, None)
     monkeypatch.undo()
     return out, events
 
 
-def _chain_ends(out, events):
-    """The ways a chain of iterations ended in a search, read off its events.
-
-    After an iteration that queued a key, the search either chains (the
-    next event is that iteration's draw) or calls heappushpop, which
-    returns the heap's top: a stale top is followed by a pop, a live one by
-    its iteration's draw or by the end at the goal. An iteration that
-    queued nothing is followed by a pop at once."""
-    ends = set()
-    for event, after in zip(events, events[1:] + ["end"]):
-        if event == "pushpop":
-            ends.add("heap top below the carried key, " + ("stale" if after == "pop" else "live"))
-    # The goal is reached by a chain when an iteration runs after the last
+def _hand_ons(out, events):
+    """The ways the search moved from one iteration to the next, read off
+    its events. An iteration that takes a successor directly is followed
+    at once by the next draw; any other pops the heap. A live pop is
+    followed by its iteration's draw or by the end at the goal, a stale
+    one by another pop or a promotion. An entry goes stale when its cell,
+    waiting at the next level, is queued again a level lower."""
+    ways = set()
+    text = " ".join(events + ["end"])
+    if re.search(r"\bpop (pop|promote)", text):
+        ways.add("stale heap top")
+    if re.search(r"\bpromote pop (pop|promote)", text):
+        ways.add("promotion onto a stale top")
+    if re.search(r"\bpromote pop (F|P|end)", text):
+        ways.add("promotion onto a live top")
+    if re.search(r"\bF (pop|promote)", text):
+        ways.add("full iteration takes nothing directly")
+    if re.search(r"\bP (pop|promote)", text):
+        ways.add("perforated step takes nothing directly")
+    # The goal is reached directly when an iteration runs after the last
     # key taken from the heap.
-    taken = [i + 1 for i, event in enumerate(events) if event in ("pop", "pushpop")]
+    taken = [i + 1 for i, event in enumerate(events) if event == "pop"]
     if out.found and {"F", "P"} & set(events[taken[-1] if taken else 0:]):
-        ends.add("chained onto the goal")
-    text = " ".join(events)
-    if "P P pop" in text:
-        ends.add("perforated step mid-run queues nothing")
-    if "F pop" in text:
-        ends.add("full iteration queues nothing")
-    return ends
+        ways.add("taken directly onto the goal")
+    return ways
 
 
 _RNG = random.Random(40)
@@ -425,7 +433,7 @@ class TestKernelMatchesReference:
         # which queue (2, 1) with g = 2 and (2, 0) with g = 3. Iteration 3
         # is perforated at (2, 0): its only open neighbor is (2, 1), whose
         # g = 2 beats 4, so nothing is queued and the next key must come
-        # from the heap, not from the key carried past it.
+        # from the heap, not be taken directly.
         grid = GridMap(4, 4, frozenset({Cell(1, 0), Cell(2, 3)}))
         start, goal, spec = Cell(3, 2), Cell(0, 0), PerforationSpec(MODULO, 1, 4)
         out = _astar(grid, start, goal, spec, None)
@@ -433,70 +441,92 @@ class TestKernelMatchesReference:
         assert out.path == (Cell(3, 2), Cell(3, 1), Cell(2, 1), Cell(1, 1), Cell(0, 1), Cell(0, 0))
         assert (out.expansions, out.skipped) == (7, 1)
 
-    def test_carried_key_keeps_a_straight_run_off_the_heap(self, monkeypatch):
-        # Down an open corridor each iteration's smallest key is the next
-        # cell toward the goal and lies below every queued key, so the
-        # search chains from start to goal: nothing is taken from the heap,
-        # exact or perforated. The only heap calls are the pushes of the
-        # two side cells that each full iteration queues.
+    def test_open_corridor_makes_no_heap_call(self, monkeypatch):
+        # Along an open corridor each iteration's left neighbor is the one
+        # step toward the goal, taken directly; the side cells are a step
+        # away, so they go to the next level, which is never promoted. The
+        # search makes no heap call at all, exact or perforated. It runs
+        # leftward so that the cell taken is not the first block's.
         grid = GridMap(30, 5, frozenset())
         for spec in (NO_PERFORATION, PerforationSpec(MODULO, 22, 25)):
-            out, events = _search_events(monkeypatch, grid, Cell(0, 2), Cell(29, 2), spec)
+            out, events = _search_events(monkeypatch, grid, Cell(29, 2), Cell(0, 2), spec)
             assert out.edges == 29 and out.expansions + out.skipped == 30
-            assert set(events) <= {"F", "P", "push"}
-            assert events.count("push") == 2 * events.count("F") == 2 * (out.expansions - 1)
+            assert set(events) <= {"F", "P"}
 
-    # Seeded queries (see _seeded_query) on which a chain ends each way.
-    @pytest.mark.parametrize("end, seed, skip, window", [
-        ("heap top below the carried key, live", 5, 0, 1),
-        ("heap top below the carried key, live", 5, 3, 4),
-        ("heap top below the carried key, stale", 8, 0, 1),
-        ("heap top below the carried key, stale", 197, 3, 4),
-        ("chained onto the goal", 39, 0, 1),
-        ("chained onto the goal", 39, 3, 4),
-        ("perforated step mid-run queues nothing", 12, 3, 4),
-        ("full iteration queues nothing", 4, 0, 1),
+    # Seeded queries (see _seeded_query) on which the search moves from one
+    # iteration to the next each way that is not a direct take.
+    @pytest.mark.parametrize("way, seed, skip, window", [
+        ("promotion onto a live top", 5, 0, 1),
+        ("promotion onto a live top", 5, 3, 4),
+        ("stale heap top", 8, 0, 1),
+        ("promotion onto a stale top", 197, 3, 4),
+        ("taken directly onto the goal", 39, 0, 1),
+        ("taken directly onto the goal", 39, 3, 4),
+        ("perforated step takes nothing directly", 12, 3, 4),
+        ("perforated step takes nothing directly", 5, 3, 4),
+        ("full iteration takes nothing directly", 4, 0, 1),
+        ("full iteration takes nothing directly", 38, 0, 1),
     ])
-    def test_each_way_a_chain_ends_matches_the_reference(self, monkeypatch, end, seed, skip, window):
+    def test_each_way_an_iteration_hands_on_matches_the_reference(self, monkeypatch, way, seed,
+                                                                   skip, window):
         grid, start, goal = _seeded_query(seed)
         spec = PerforationSpec(MODULO, skip, window)
         out, events = _search_events(monkeypatch, grid, start, goal, spec)
-        assert end in _chain_ends(out, events)
+        assert way in _hand_ons(out, events)
         assert out == reference_astar(grid, start, goal, spec, None)
-        # The carried key goes through the heap only below a smaller key.
-        assert "pushpop back" not in events
+        # The next level is promoted only once the current one is empty.
+        assert "promote early" not in events
 
-    def test_displaced_carried_key_chains_into_a_perforated_step(self, monkeypatch):
-        # Map: open 5x6, S = (1, 0), G = (2, 4). At 1/2 iteration 0 runs in
-        # full at S. It queues (0, 0) first (h 6) and carries it; (2, 0)
-        # (h 4) has a smaller key and displaces it into the heap; (1, 1)
-        # ties (2, 0) on f and h but comes later, so it is pushed. The
-        # search chains to (2, 0), and iteration 1 is perforated there on
-        # the x, y and h that iteration 0 handed off: with x = goal x it
-        # steps down, where an x off by one would step sideways.
+    # Seeded queries (see _seeded_query) on which a step toward the goal
+    # reaches a cell that waits at the next level, from a full iteration
+    # (95) and from a perforated one (268). The reference queues the cell a
+    # second time, with a lower g; every second queueing is such a step,
+    # since one away from the goal cannot lower a cell's level. The kernel
+    # must queue it again too, though the cell was queued before.
+    @pytest.mark.parametrize("seed, skip, window", [(95, 0, 1), (268, 1, 2)])
+    def test_step_toward_the_goal_requeues_a_waiting_cell(self, monkeypatch, seed, skip, window):
+        grid, start, goal = _seeded_query(seed)
+        spec = PerforationSpec(MODULO, skip, window)
+        relaxed = []
+        monkeypatch.setattr(oracles, "heapq", SimpleNamespace(
+            heappush=lambda heap, key: relaxed.append(key[2:]) or heapq.heappush(heap, key),
+            heappop=heapq.heappop))
+        want = reference_astar(grid, start, goal, spec, None)
+        monkeypatch.undo()
+        assert len(set(relaxed)) < len(relaxed)
+        assert _astar(grid, start, goal, spec, None) == want
+
+    def test_second_toward_successor_is_pushed_and_the_first_taken(self, monkeypatch):
+        # Map: open 5x6, S = (3, 0), G = (2, 4). At 1/2 iteration 0 runs in
+        # full at S. (4, 0) is a step away from the goal and waits a level;
+        # (2, 0) and (3, 1) both have h 4 and S's f. (2, 0) comes first in
+        # row-major order, so it is taken directly, and (3, 1) is pushed
+        # with key h*n + cell. Iteration 1 is perforated at (2, 0) on the
+        # x, y and h moved along with it: with x = goal x it steps down,
+        # where an x off by one would step sideways.
         grid = GridMap(5, 6, frozenset())
-        start, goal, spec = Cell(1, 0), Cell(2, 4), PerforationSpec(MODULO, 1, 2)
+        start, goal, spec = Cell(3, 0), Cell(2, 4), PerforationSpec(MODULO, 1, 2)
         handed = []
         out, events = _search_events(monkeypatch, grid, start, goal, spec, handed)
         n, w = len(grid._mask), grid.width + 2
-        assert events[:4] == ["F", "push", "push", "P"]
-        assert [k % n for k in handed[:2]] == [1 * w + 1, 2 * w + 2]  # (0, 0), then (1, 1)
+        assert events[:3] == ["F", "push", "P"]
+        assert handed[0] == 4 * n + 2 * w + 4  # (3, 1), h 4
         assert out == reference_astar(grid, start, goal, spec, None)
-        assert out.path[:3] == (Cell(1, 0), Cell(2, 0), Cell(2, 1))
+        assert out.path[:3] == (Cell(3, 0), Cell(2, 0), Cell(2, 1))
 
     # Seeded queries (see _seeded_query) on which an iteration runs on x, y
     # and h it did not decode itself, or on a cell that must be decoded,
     # each found by its pattern in the search's events.
     @pytest.mark.parametrize("pattern, seed, skip, window", [
-        (r"\bF( push)* P", 46, 1, 2),  # a full iteration chains into a perforated step
-        (r"\bF( push)* P", 155, 1, 2),
-        (r"\b(pop|pushpop) P", 75, 1, 2),  # a cell from the heap runs perforated
-        (r"\b(pop|pushpop) P", 76, 1, 2),
-        (r"\b(pop|pushpop) F", 95, 0, 1),  # a cell from the heap runs in full
-        (r"\b(pop|pushpop) F", 136, 0, 1),
+        (r"\bF( push)? P", 46, 1, 2),  # a full iteration's direct take runs perforated
+        (r"\bF( push)? P", 155, 1, 2),
+        (r"\bpop P", 75, 1, 2),  # a cell from the heap runs perforated
+        (r"\bpop P", 76, 1, 2),
+        (r"\bpop F", 95, 0, 1),  # a cell from the heap runs in full
+        (r"\bpop F", 136, 0, 1),
     ])
-    def test_handed_off_and_decoded_cells_match_the_reference(self, monkeypatch, pattern,
-                                                               seed, skip, window):
+    def test_moved_and_decoded_cells_match_the_reference(self, monkeypatch, pattern,
+                                                         seed, skip, window):
         grid, start, goal = _seeded_query(seed)
         spec = PerforationSpec(MODULO, skip, window)
         out, events = _search_events(monkeypatch, grid, start, goal, spec)

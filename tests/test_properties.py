@@ -298,35 +298,39 @@ def aligned_queries(draw, queries):
 @given(st.one_of(grid_queries(), corridor_queries(),
                  aligned_queries(grid_queries()), aligned_queries(corridor_queries())),
        st.one_of(st.just(NO_PERFORATION), perforation_specs()))
-def test_every_heap_key_holds_the_cells_cost_and_manhattan_h(query, spec):
-    # Each key handed to the heap must be ((g + h) * hm + h) * n + cell, with
-    # h the Manhattan distance from the cell to the goal and g a cost the
-    # search gave the cell. The reference queues every (g + h, h, y, x) it
-    # relaxes, so its keys give the costs. A wrong h shows here even where
-    # it leaves the pop order of a query unchanged.
+def test_every_queued_key_holds_the_cells_manhattan_h_at_a_relaxed_level(query, spec):
+    # Each key pushed onto the current level, or promoted from the next,
+    # must be h*n + cell, with h the Manhattan distance from the cell to
+    # the goal, and its level must be a g + h the reference relaxed for
+    # that cell. The level starts at the start's h and rises by 2 at each
+    # promotion. The reference queues every (g + h, h, y, x) it relaxes,
+    # so its keys give the levels. A wrong h shows here even where it
+    # leaves the pop order of a query unchanged.
     grid, start, goal = query
     extent = reference_astar(grid, start, goal, None, None).expansions if spec.mode == TRUNCATION else None
+    level = [manhattan(start, goal)]
     handed, relaxed = [], []
 
-    def spy(fn, into):
-        return lambda heap, key: into.append(key) or fn(heap, key)
+    def push(heap, key):
+        handed.append((level[0], key))
+        heapq.heappush(heap, key)
+
+    def promote(heap):
+        level[0] += 2
+        handed.extend((level[0], key) for key in heap)
+        heapq.heapify(heap)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planner, "heapq", SimpleNamespace(
-            heappush=spy(heapq.heappush, handed), heappushpop=spy(heapq.heappushpop, handed),
-            heappop=heapq.heappop))
+        mp.setattr(planner, "heapq", SimpleNamespace(heappush=push, heapify=promote, heappop=heapq.heappop))
         mp.setattr(oracles, "heapq", SimpleNamespace(
-            heappush=spy(heapq.heappush, relaxed), heappop=heapq.heappop))
+            heappush=lambda heap, key: relaxed.append(key) or heapq.heappush(heap, key),
+            heappop=heapq.heappop))
         assert _astar(grid, start, goal, spec, extent) == reference_astar(grid, start, goal, spec, extent)
-    w, n, hm = grid.width + 2, len(grid._mask), grid.width + grid.height
-    want = set()
-    for f, _, y, x in relaxed:
-        h = manhattan(Cell(x, y), goal)
-        g = f - h  # the reference's f is g + its h
-        want.add(((g + h) * hm + h) * n + (y + 1) * w + x + 1)
+    w, n = grid.width + 2, len(grid._mask)
+    want = {(f, manhattan(Cell(x, y), goal) * n + (y + 1) * w + x + 1) for f, _, y, x in relaxed}
     assert len(set(handed)) == len(handed)
-    assert set(handed) <= want, sorted((k % n % w - 1, k % n // w - 1, k // n % hm)
-                                       for k in set(handed) - want)
+    assert set(handed) <= want, sorted((f, k % n % w - 1, k % n // w - 1, k // n)
+                                       for f, k in set(handed) - want)
 
 
 @SEARCH_SETTINGS
