@@ -183,9 +183,9 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     # The open list has two levels. A step changes h by exactly 1, so a
     # successor has cur's f and h - 1 (a step toward the goal) or f + 2
     # and h + 1 (any other), and cur's f is the smallest queued. `now` is
-    # a heap of the level F being popped, `later` a list of level F + 2;
+    # a heap of the level f being popped, `later` a list of level f + 2;
     # both hold int keys h*n + cell, which order like (h, y, x). When `now`
-    # runs dry, `later` is heapified into it and F rises by 2.
+    # runs dry, `later` is heapified into it and f rises by 2.
     now: list = []
     later: list = []
     g = {src: 0}

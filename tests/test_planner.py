@@ -342,7 +342,7 @@ def _search_events(monkeypatch, grid, start, goal, spec, handed=None):
     or "P" for each schedule draw (full or perforated iteration), "push"
     and "pop" for each call on the heap of the current level, and
     "promote" for each heapify of the next level into it; "promote"
-    becomes "promote early" if the heap last pushed or popped still holds
+    becomes "promote early" if the heap last handed to a spy still holds
     keys. Each key pushed or promoted is appended to `handed`, if given."""
     events = []
     touched = [[]]  # the heaps handed to the spies, latest last
