@@ -23,7 +23,7 @@ from statistics import fmean
 
 from .executor import replay, simulate
 from .gridworld import _MAX_DRAWS, GridMap, RobotTask, Scenario, _draw_pair, component_labels, random_endpoints
-from .metrics import CaseRecord, PathErrorStats, aggregate_error, perforated_cost, speedup_proxy
+from .metrics import CaseRecord, PathErrorStats, aggregate_error
 from .planner import NO_PERFORATION, PerforationSpec, astar_exact, astar_perforated, plan_multi_leg
 
 DEFAULT_SEED = 9
@@ -141,16 +141,7 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
         records = []
         for case_id, ((s, g), exact) in enumerate(zip(pairs, exact_runs)):
             approx_wall, out = timed(lambda: astar_perforated(scenario_grid, s, g, spec))
-            records.append(CaseRecord(
-                case_id=case_id,
-                exact_len=exact.edges,
-                approx_len=out.edges if out.found else None,
-                exact_expansions=exact.expansions,
-                approx_expansions=out.expansions,
-                approx_skipped=out.skipped,
-                exact_wall_time=exact_walls[case_id],
-                approx_wall_time=approx_wall,
-            ))
+            records.append(CaseRecord.from_outcomes(case_id, exact, out, exact_walls[case_id], approx_wall))
         if any(r.approx_len is not None for r in records):
             stats = aggregate_error(records)
         else:
@@ -159,9 +150,8 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
             stats = PathErrorStats(0.0, len(records), 0, len(records), 0.0)
         rows.append(SweepRow(
             rate=rate,
-            mean_speedup_wall=fmean(r.exact_wall_time / max(r.approx_wall_time, 1e-9) for r in records),
-            mean_speedup_proxy=fmean(speedup_proxy(r.exact_expansions, perforated_cost(
-                r.approx_expansions, r.approx_skipped)) for r in records),
+            mean_speedup_wall=fmean(r.wall_speedup for r in records),
+            mean_speedup_proxy=fmean(r.proxy_speedup for r in records),
             pct_len_increase=100 * stats.n_increased / stats.n_cases,
             pct_failed=100 * stats.n_failed / stats.n_cases,
             e_p=stats.e_p,
@@ -231,13 +221,12 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
     for rate in study_rates:
         spec = PerforationSpec.from_rate(rate)
         n_collision = 0
-        proxies = []
+        records = []
         for trial_scenario, exact in trials:
             outcomes = {task.robot_id: plan_multi_leg(trial_scenario.grid, task, spec)
                         for task in trial_scenario.tasks}
             for rid, out in outcomes.items():
-                proxies.append(speedup_proxy(
-                    exact[rid].expansions, perforated_cost(out.expansions, out.skipped)))
+                records.append(CaseRecord.from_outcomes(len(records), exact[rid], out))
             # The exact plans were replayed safe when the trial was built;
             # the same paths give the same timelines, so only a changed plan
             # set is replayed. Paths share the grid's Cells: `!=` is cheap.
@@ -248,7 +237,7 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
             rate=rate,
             n_trials=n_trials,
             pct_collision_trials=100 * n_collision / n_trials,
-            mean_speedup_proxy=fmean(proxies),
+            mean_speedup_proxy=fmean(r.proxy_speedup for r in records),
         ))
     return rows
 

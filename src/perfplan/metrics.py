@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import fmean
 
-# A perforated iteration queues at most one successor, and as that key is
-# carried past the heap to the next pop it usually pops nothing from the
-# heap either. The deterministic work proxy charges it a quarter of a full
-# expansion. That is a modelled convention, applied everywhere: on the clock
-# a perforated iteration costs more than that (README "Benchmark" gives the
-# measured ratio per workload), so the proxy overstates what it saves.
+# A perforated iteration queues at most one successor, with no heap call: a
+# step toward the goal is taken directly by the next iteration, and any
+# other step is appended to the list of the next f level. The deterministic
+# work proxy charges it a quarter of a full expansion. That is a modelled
+# convention, applied everywhere: on the clock a perforated iteration costs
+# more than that (README "Benchmark" gives the measured ratio per workload),
+# so the proxy overstates what it saves.
 SKIP_POP_COST = 0.25
 
 
@@ -52,6 +53,24 @@ class CaseRecord:
             raise ValueError("negative work counters")
         if self.exact_wall_time < 0 or self.approx_wall_time < 0:
             raise ValueError("negative durations")
+
+    @classmethod
+    def from_outcomes(cls, case_id: int, exact, approx, exact_wall_time: float = 0.0,
+                      approx_wall_time: float = 0.0) -> CaseRecord:
+        """The record of one query planned exactly (`exact`, found) and
+        perforated (`approx`, which may have failed), both PlanOutcomes."""
+        return cls(case_id, exact.edges, approx.edges if approx.found else None,
+                   exact.expansions, approx.expansions, approx.skipped,
+                   exact_wall_time, approx_wall_time)
+
+    @property
+    def proxy_speedup(self) -> float:
+        return speedup_proxy(self.exact_expansions, perforated_cost(self.approx_expansions, self.approx_skipped))
+
+    @property
+    def wall_speedup(self) -> float:
+        # A perforated run too fast to time reads as 1 ns.
+        return self.exact_wall_time / max(self.approx_wall_time, 1e-9)
 
 
 @dataclass(frozen=True)
@@ -108,9 +127,9 @@ def perforated_cost(expansions: int, skipped: int) -> float:
 def speedup_proxy(exact_expansions, approx_expansions) -> float:
     """exact work / approximate work, the deterministic stand-in for wall clock.
 
-    Callers pass perforated_cost(...) as the approximate term so that skipped
-    pops are charged at the documented discount. Not guaranteed >= 1 per case;
-    only aggregate trends are meaningful.
+    CaseRecord.proxy_speedup passes perforated_cost(...) as the approximate
+    term, so that skipped pops are charged at the documented discount. Not
+    guaranteed >= 1 per case; only aggregate trends are meaningful.
     """
     if exact_expansions <= 0 or approx_expansions <= 0:
         raise ValueError("speedup needs positive work counts on both sides")

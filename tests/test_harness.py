@@ -1,6 +1,7 @@
 """Rate parsing, benchmark sweep, collision study, and report round-trips."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from oracles import reference_collision_study
 import perfplan.executor as executor_module
 import perfplan.harness as harness_module
-from perfplan.gridworld import Cell, GridMap, RobotTask, Scenario, builtin_scenario
+from perfplan.gridworld import Cell, GridMap, RobotTask, Scenario, builtin_scenario, random_endpoints
 from perfplan.harness import (
     COLLISION_HEADER,
     DEFAULT_RATE_LADDER,
@@ -25,7 +26,7 @@ from perfplan.harness import (
     parse_sweep_csv,
     sweep,
 )
-from perfplan.planner import FOUND, NOT_FOUND, PlanOutcome
+from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, plan_multi_leg
 
 WAREHOUSE = builtin_scenario("warehouse")
 
@@ -249,6 +250,22 @@ class TestCollisionStudy:
         monkeypatch.setattr(executor_module, "plan_multi_leg", plan)
         with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell"):
             collision_study(scenario, rates=[Fraction(1, 2)], n_trials=1)
+
+    def test_matches_a_full_replay_when_robots_fail(self):
+        # No robot fails on the built-ins, so this 24x24 map with a quarter
+        # of its cells blocked puts failed robots' records into the mean.
+        rng = random.Random(1)
+        grid = GridMap(width=24, height=24, blocked=frozenset(
+            Cell(x, y) for y in range(24) for x in range(24) if rng.random() < 0.25))
+        scenario = Scenario("clutter", grid, tuple(
+            RobotTask(rid, s, g) for rid, (s, g) in enumerate(random_endpoints(grid, 1, 2), 1)))
+        rates = [Fraction(0), Fraction(3, 4), Fraction(22, 25)]
+        assert (collision_study(scenario, rates, n_trials=40, seed=9)
+                == reference_collision_study(scenario, rates, 40, 9))
+        spec = PerforationSpec.from_rate(Fraction(22, 25))
+        failed = sum(not plan_multi_leg(trial.grid, task, spec).found
+                     for trial, _ in harness_module._build_trials(scenario, 40, 9) for task in trial.tasks)
+        assert failed == 13  # of 80 robot plans
 
     @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
     @pytest.mark.parametrize("name", ["warehouse", "room"])

@@ -1,7 +1,10 @@
 """Path-quality error statistics and the deterministic work proxy."""
 
+from fractions import Fraction
+
 import pytest
 
+from perfplan.gridworld import Cell, GridMap, RobotTask
 from perfplan.metrics import (
     SKIP_POP_COST,
     CaseRecord,
@@ -11,6 +14,7 @@ from perfplan.metrics import (
     perforated_cost,
     speedup_proxy,
 )
+from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, plan_multi_leg
 
 
 def record(case_id, exact_len, approx_len, **kw):
@@ -41,6 +45,43 @@ class TestCaseRecord:
             record(0, 10, 10, exact_wall_time=-0.1)
         with pytest.raises(ValueError):
             record(0, -1, None)
+
+
+class TestFromOutcomes:
+    EXACT = PlanOutcome(FOUND, tuple(Cell(x, 0) for x in range(5)), 5, 0)
+
+    def test_found_outcome(self):
+        approx = PlanOutcome(FOUND, tuple(Cell(x, 0) for x in range(7)), 3, 4)
+        assert (CaseRecord.from_outcomes(3, self.EXACT, approx, 0.5, 0.25)
+                == CaseRecord(3, 4, 6, 5, 3, 4, 0.5, 0.25))
+
+    def test_failed_outcome_has_no_length(self):
+        approx = PlanOutcome(NOT_FOUND, (), 2, 9, failed_leg=0)
+        assert CaseRecord.from_outcomes(0, self.EXACT, approx) == CaseRecord(0, 4, None, 5, 2, 9)
+
+    def test_multi_leg_outcome(self):
+        # Legs (0,0) -> (2,2) -> (4,0): 4 + 4 edges, counters summed by the plan.
+        grid = GridMap(width=5, height=3, blocked=frozenset())
+        task = RobotTask(1, Cell(0, 0), Cell(4, 0), waypoints=(Cell(2, 2),))
+        exact = plan_multi_leg(grid, task)
+        approx = plan_multi_leg(grid, task, PerforationSpec.from_rate(Fraction(1, 2)))
+        r = CaseRecord.from_outcomes(7, exact, approx)
+        assert (r.case_id, r.exact_len, r.approx_len) == (7, 8, len(approx.path) - 1)
+        assert (r.exact_expansions, r.approx_expansions, r.approx_skipped) == (
+            exact.expansions, approx.expansions, approx.skipped)
+        assert r.approx_skipped > 0
+
+
+class TestRecordSpeedups:
+    def test_proxy_speedup_discounts_skips(self):
+        assert record(0, 10, 10, exact_expansions=400, approx_expansions=100,
+                      approx_skipped=240).proxy_speedup == 2.5
+
+    def test_wall_speedup_of_untimed_runs_is_zero(self):
+        assert record(0, 10, 10).wall_speedup == 0.0
+
+    def test_wall_speedup_floors_an_untimed_perforated_run(self):
+        assert record(0, 10, 10, exact_wall_time=0.003).wall_speedup == 0.003 / 1e-9
 
 
 class TestCaseErrorPct:
