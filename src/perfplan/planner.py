@@ -14,12 +14,14 @@ The open list has two levels. On a 4-grid a step changes the Manhattan
 distance by exactly one, so a successor's f is its parent's (a step toward
 the goal) or its parent's + 2, and the cell being expanded always has the
 smallest f queued: only that f, F, needs a heap, and the cells of F + 2
-wait in a plain list until the heap runs dry. A cell's g follows from the
-level it is popped at, so a pop reads no g. The first neighbor toward the
-goal that an iteration queues has the smallest key of all, so the next
-iteration takes it directly, from a full iteration or a perforated step
-alike, and a cell is decoded only after a heap pop. Pop order, and with it
-every path and counter, is that of a search with one heap over (f, h, y, x).
+wait in a plain list until the heap runs dry. The levels also decide
+whether a step lowers a neighbor's cost, so the search keeps no g: a step
+toward the goal always does, and a step away from it queues only a cell
+that has no parent yet. The first neighbor toward the goal that an
+iteration queues has the smallest key of all, so the next iteration takes
+it directly, from a full iteration or a perforated step alike, and a cell
+is decoded only after a heap pop. Pop order, and with it every path and
+counter, is that of a search with one heap over (f, h, y, x).
 """
 
 from __future__ import annotations
@@ -182,25 +184,30 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     runs_in_full = _schedule(spec, extent, n).__next__
     # The open list has two levels. A step changes h by exactly 1, so a
     # successor has cur's f and h - 1 (a step toward the goal) or f + 2
-    # and h + 1 (any other), and cur's f is the smallest queued. `now` is
-    # a heap of the level f being popped, `later` a list of level f + 2;
-    # both hold int keys h*n + cell, which order like (h, y, x). When `now`
-    # runs dry, `later` is heapified into it and f rises by 2.
+    # and h + 1 (any other), and cur's f, F, is the smallest queued. `now`
+    # is a heap of level F, `later` a list of level F + 2; both hold int
+    # keys h*n + cell, which order like (h, y, x). When `now` runs dry,
+    # `later` is heapified into it and F rises by 2.
+    # The levels decide every relaxation, so no g is kept. A neighbor
+    # toward the goal is always queued: queued at F, its key would lie
+    # below cur's and it would be closed by now, so it waits at F + 2 if
+    # at all, and this step lowers it. A neighbor away from the goal is
+    # queued only if it has no parent yet: a cell that has one waits at F
+    # or F + 2 already, no higher than this step would put it.
     now: list = []
     later: list = []
-    g = {src: 0}
     came_from: dict = {}
     expansions = 0
     skipped = 0
     pop, push, heapify = heapq.heappop, heapq.heappush, heapq.heapify
-    cur, ng = src, 1
+    cur = src
     # x, y (padded) and h are cur's: decoded for a cell taken from `now`,
     # moved along with a cell taken directly.
     x, y = x0 + 1, y0 + 1
-    f = h = abs(x - gx) + abs(y - gy)
+    h = abs(x - gx) + abs(y - gy)
 
     while True:
-        # cur is open, has the smallest (f, h, cell) queued, and its g is ng - 1.
+        # cur is open and has the smallest (f, h, cell) queued.
         if cur == dst:
             expansions += 1
             path = [cur]
@@ -223,16 +230,14 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
             # The four neighbors, unrolled in row-major order; up, being
             # first, is taken directly whenever it is toward the goal.
             nb = cur - w
-            if open_[nb] and ng < g.get(nb, n):  # n exceeds every g
-                g[nb] = ng
+            if open_[nb] and (y > gy or nb not in came_from):
                 came_from[nb] = cur
                 if y > gy:
                     nxt, nx, ny = nb, x, y - 1
                 else:
                     later.append((h + 1) * n + nb)
             nb = cur - 1
-            if open_[nb] and ng < g.get(nb, n):
-                g[nb] = ng
+            if open_[nb] and (x > gx or nb not in came_from):
                 came_from[nb] = cur
                 if x <= gx:
                     later.append((h + 1) * n + nb)
@@ -241,8 +246,7 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
                 else:
                     nxt, nx, ny = nb, x - 1, y
             nb = cur + 1
-            if open_[nb] and ng < g.get(nb, n):
-                g[nb] = ng
+            if open_[nb] and (x < gx or nb not in came_from):
                 came_from[nb] = cur
                 if x >= gx:
                     later.append((h + 1) * n + nb)
@@ -251,8 +255,7 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
                 else:
                     nxt, nx, ny = nb, x + 1, y
             nb = cur + w
-            if open_[nb] and ng < g.get(nb, n):
-                g[nb] = ng
+            if open_[nb] and (y < gy or nb not in came_from):
                 came_from[nb] = cur
                 if y >= gy:
                     later.append((h + 1) * n + nb)
@@ -275,20 +278,14 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
             elif y < gy and open_[cur + w]:
                 nxt, nx, ny = cur + w, x, y + 1
             elif ((open_[nb := cur - w] or open_[nb := cur - 1] or open_[nb := cur + 1]
-                   or open_[nb := cur + w]) and ng < g.get(nb, n)):
-                g[nb] = ng
+                   or open_[nb := cur + w]) and nb not in came_from):
                 came_from[nb] = cur
                 later.append((h + 1) * n + nb)
             if nxt:
-                if ng < g.get(nxt, n):
-                    g[nxt] = ng
-                    came_from[nxt] = cur
-                else:
-                    nxt = 0
+                came_from[nxt] = cur
         if nxt:
             cur, x, y = nxt, nx, ny
             h -= 1
-            ng += 1
             continue
         # Nothing was taken directly: pop `now`, skipping stale entries.
         while True:
@@ -297,13 +294,9 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
                     return PlanOutcome(NOT_FOUND, (), expansions, skipped)
                 now, later = later, now
                 heapify(now)
-                f += 2
             h, cur = divmod(pop(now), n)
             if open_[cur]:
                 break
-        # A lower g would have queued cur two levels lower, so a live entry
-        # carries cur's g: f - h.
-        ng = f - h + 1
         y, x = divmod(cur, w)
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output shapes, file emission."""
 
+import importlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -319,9 +321,13 @@ class TestParserReuse:
         assert proc.stdout == capsys.readouterr().out.encode()
 
 
-def _readme_usage_lines():
+def _readme_section(heading):
     text = (Path(__file__).parents[1] / "README.md").read_text()
-    section = text.split("## Command-line usage", 1)[1]
+    return text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_usage_lines():
+    section = _readme_section("Command-line usage")
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("perfplan ")]
 
@@ -335,3 +341,20 @@ def test_readme_usage_lines_cover_every_command():
 def test_readme_usage_line_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # some lines write their report to a file
     assert main(shlex.split(line)[1:]) == 0
+
+
+def test_readme_rule_homes_name_existing_symbols():
+    # Every `module.name` the "One home per rule" table gives as a rule's
+    # home must exist, so a deletion that leaves its row behind fails here.
+    modules = "gridworld|planner|executor|harness|metrics|assignment|cli"
+    homes = set(re.findall(rf"`({modules})\.(\w+(?:\.\w+)*)`", _readme_section("One home per rule")))
+    assert homes
+    missing = []
+    for module, dotted in sorted(homes):
+        obj = importlib.import_module(f"perfplan.{module}")
+        try:
+            for name in dotted.split("."):
+                obj = getattr(obj, name)
+        except AttributeError:
+            missing.append(f"{module}.{dotted}")
+    assert missing == []
