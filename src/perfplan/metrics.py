@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 # A perforated iteration queues at most one successor, with no heap call: a
-# step toward the goal is taken directly by the next iteration, and any
+# step toward the goal moves the search onto that cell at once, and any
 # other step is appended to the list of the next f level. The deterministic
 # work proxy charges it a quarter of a full expansion. That is a modelled
 # convention, applied everywhere: on the clock a perforated iteration costs
@@ -22,7 +22,7 @@ from statistics import fmean
 SKIP_POP_COST = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CaseRecord:
     """One benchmark case: exact run vs perforated run of the same query.
 
@@ -40,18 +40,31 @@ class CaseRecord:
     exact_wall_time: float = 0.0
     approx_wall_time: float = 0.0
 
-    def __post_init__(self):
-        if self.exact_len < 0:
+    def __init__(self, case_id: int, exact_len: int, approx_len: int | None,
+                 exact_expansions: int, approx_expansions: int, approx_skipped: int = 0,
+                 exact_wall_time: float = 0.0, approx_wall_time: float = 0.0):
+        # Filled like planner.PlanOutcome, through the instance dict rather
+        # than one object.__setattr__ per field; the class stays frozen.
+        d = self.__dict__
+        d["case_id"] = case_id
+        d["exact_len"] = exact_len
+        d["approx_len"] = approx_len
+        d["exact_expansions"] = exact_expansions
+        d["approx_expansions"] = approx_expansions
+        d["approx_skipped"] = approx_skipped
+        d["exact_wall_time"] = exact_wall_time
+        d["approx_wall_time"] = approx_wall_time
+        if exact_len < 0:
             raise ValueError("exact_len must be >= 0")
-        if self.approx_len is not None and self.approx_len < self.exact_len:
+        if approx_len is not None and approx_len < exact_len:
             raise ValueError("approximate path shorter than exact; counters are corrupt")
-        if self.exact_expansions < 1:
+        if exact_expansions < 1:
             raise ValueError("exact run must have expanded at least the goal pop")
         # A failed perforated run may have perforated every iteration, so
         # approx_expansions == 0 is legal there, unlike exact_expansions.
-        if self.approx_expansions < 0 or self.approx_skipped < 0:
+        if approx_expansions < 0 or approx_skipped < 0:
             raise ValueError("negative work counters")
-        if self.exact_wall_time < 0 or self.approx_wall_time < 0:
+        if exact_wall_time < 0 or approx_wall_time < 0:
             raise ValueError("negative durations")
 
     @classmethod

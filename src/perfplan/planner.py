@@ -18,10 +18,13 @@ wait in a plain list until the heap runs dry. The levels also decide
 whether a step lowers a neighbor's cost, so the search keeps no g: a step
 toward the goal always does, and a step away from it queues only a cell
 that has no parent yet. The first neighbor toward the goal that an
-iteration queues has the smallest key of all, so the next iteration takes
-it directly, from a full iteration or a perforated step alike, and a cell
-is decoded only after a heap pop. Pop order, and with it every path and
-counter, is that of a search with one heap over (f, h, y, x).
+iteration queues has the smallest key of all, so it becomes the current
+cell at once, with no key and no heap call: a full iteration hands it to
+the next one, and a perforated step moves onto it itself. A cell is
+decoded only after a heap pop. Pop order, and with it every path and
+counter, is that of a search with one heap over (f, h, y, x). A found
+path is decoded in one walk of the parent links, which end at the start's
+parent, the border index 0.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def perforation_schedule(spec: PerforationSpec, i: int, extent: int | None = Non
     return i < extent - spec.skip * extent // spec.window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlanOutcome:
     """Result of one search: status, path, and main-loop work counters.
 
@@ -130,6 +133,18 @@ class PlanOutcome:
     expansions: int
     skipped: int
     failed_leg: int | None = None
+
+    def __init__(self, status: str, path: tuple, expansions: int, skipped: int,
+                 failed_leg: int | None = None):
+        # Every search builds one. Filling the instance dict directly costs
+        # under half of the generated frozen __init__, which goes through
+        # object.__setattr__ once per field; the class stays frozen.
+        d = self.__dict__
+        d["status"] = status
+        d["path"] = path
+        d["expansions"] = expansions
+        d["skipped"] = skipped
+        d["failed_leg"] = failed_leg
 
     @property
     def found(self) -> bool:
@@ -196,7 +211,10 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     # or F + 2 already, no higher than this step would put it.
     now: list = []
     later: list = []
-    came_from: dict = {}
+    # The start's parent is 0, a border index and never a cell, so the walk
+    # that decodes a found path ends there. The start is closed before any
+    # neighbor test reads came_from, so its entry decides no queueing.
+    came_from: dict = {src: 0}
     expansions = 0
     skipped = 0
     pop, push, heapify = heapq.heappop, heapq.heappush, heapq.heapify
@@ -210,23 +228,23 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
         # cur is open and has the smallest (f, h, cell) queued.
         if cur == dst:
             expansions += 1
-            path = [cur]
-            while cur in came_from:
+            cells, cell = grid._cells, grid._cell
+            path = []
+            while cur:
+                path.append(cells[cur] or cell(cur))
                 cur = came_from[cur]
-                path.append(cur)
+            path.reverse()
             # Built from a list, not a generator: tuple() over a generator
             # grows the tuple by reallocation, and in a loop that keeps a few
             # small objects per search that doubled how fast peak RSS grew.
-            cells, cell = grid._cells, grid._cell
-            return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in reversed(path)]),
-                               expansions, skipped)
+            return PlanOutcome(FOUND, tuple(path), expansions, skipped)
         open_[cur] = 0
         # The first successor toward the goal that an iteration queues has
-        # a key below cur's, so below every key in `now`: the next iteration
-        # takes it directly, with no key and no heap call.
-        nxt = 0  # a border index, never open
+        # a key below cur's, so below every key in `now`: it becomes cur at
+        # once, with no key and no heap call.
         if runs_in_full():
             expansions += 1
+            nxt = 0  # a border index, never open
             # The four neighbors, unrolled in row-major order; up, being
             # first, is taken directly whenever it is toward the goal.
             nb = cur - w
@@ -263,30 +281,37 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
                     push(now, (h - 1) * n + nb)
                 else:
                     nxt, nx, ny = nb, x, y + 1
+            if nxt:
+                cur, x, y = nxt, nx, ny
+                h -= 1
+                continue
         else:
             skipped += 1
             # Degraded expansion: queue only the most promising successor,
-            # the first open neighbor (row-major) with the lowest h: the
-            # first open one toward the goal, taken directly, else the
-            # first open one, for `later`.
-            if y > gy and open_[cur - w]:
-                nxt, nx, ny = cur - w, x, y - 1
-            elif x > gx and open_[cur - 1]:
-                nxt, nx, ny = cur - 1, x - 1, y
-            elif x < gx and open_[cur + 1]:
-                nxt, nx, ny = cur + 1, x + 1, y
-            elif y < gy and open_[cur + w]:
-                nxt, nx, ny = cur + w, x, y + 1
-            elif ((open_[nb := cur - w] or open_[nb := cur - 1] or open_[nb := cur + 1]
-                   or open_[nb := cur + w]) and nb not in came_from):
+            # the first open neighbor (row-major) with the lowest h. The
+            # first open one toward the goal is taken right here: cur moves
+            # onto it, with its y or x and h. Else the first open one goes
+            # to `later`, and the pop below finds the next cell.
+            if y > gy and open_[nb := cur - w]:
+                came_from[nb] = cur
+                cur, y, h = nb, y - 1, h - 1
+                continue
+            if x > gx and open_[nb := cur - 1]:
+                came_from[nb] = cur
+                cur, x, h = nb, x - 1, h - 1
+                continue
+            if x < gx and open_[nb := cur + 1]:
+                came_from[nb] = cur
+                cur, x, h = nb, x + 1, h - 1
+                continue
+            if y < gy and open_[nb := cur + w]:
+                came_from[nb] = cur
+                cur, y, h = nb, y + 1, h - 1
+                continue
+            if ((open_[nb := cur - w] or open_[nb := cur - 1] or open_[nb := cur + 1]
+                 or open_[nb := cur + w]) and nb not in came_from):
                 came_from[nb] = cur
                 later.append((h + 1) * n + nb)
-            if nxt:
-                came_from[nxt] = cur
-        if nxt:
-            cur, x, y = nxt, nx, ny
-            h -= 1
-            continue
         # Nothing was taken directly: pop `now`, skipping stale entries.
         while True:
             if not now:

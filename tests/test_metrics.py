@@ -1,5 +1,6 @@
 """Path-quality error statistics and the deterministic work proxy."""
 
+from dataclasses import FrozenInstanceError, astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,73 @@ class TestCaseRecord:
             record(0, 10, 10, exact_wall_time=-0.1)
         with pytest.raises(ValueError):
             record(0, -1, None)
+
+
+# Each of CaseRecord's checks, as the fields that break it and the message.
+REJECTIONS = {
+    "negative exact length": ({"exact_len": -1, "approx_len": None}, "exact_len"),
+    "approximate shorter": ({"approx_len": 3}, "shorter"),
+    "no exact expansion": ({"exact_expansions": 0}, "goal pop"),
+    "negative expansions": ({"approx_expansions": -1}, "negative work"),
+    "negative skips": ({"approx_skipped": -1}, "negative work"),
+    "negative exact wall": ({"exact_wall_time": -0.1}, "durations"),
+    "negative approximate wall": ({"approx_wall_time": -0.1}, "durations"),
+}
+VALID = {"case_id": 3, "exact_len": 4, "approx_len": 6, "exact_expansions": 5,
+         "approx_expansions": 3, "approx_skipped": 4, "exact_wall_time": 0.5,
+         "approx_wall_time": 0.25}
+
+
+def _path(edges):
+    return tuple(Cell(x, 0) for x in range(edges + 1))
+
+
+class TestRecordContract:
+    def test_defaults(self):
+        r = CaseRecord(0, 4, None, 5, 0)
+        assert astuple(r) == (0, 4, None, 5, 0, 0, 0.0, 0.0)
+
+    def test_equals_hashes_and_prints_as_its_keyword_built_twin(self):
+        r = CaseRecord(*VALID.values())
+        twin = CaseRecord(**VALID)
+        assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
+        assert repr(r) == ("CaseRecord(case_id=3, exact_len=4, approx_len=6, exact_expansions=5, "
+                           "approx_expansions=3, approx_skipped=4, exact_wall_time=0.5, "
+                           "approx_wall_time=0.25)")
+        assert r != replace(twin, approx_skipped=5)
+
+    def test_replace_returns_the_same_class(self):
+        r = replace(CaseRecord(**VALID), approx_len=None, exact_wall_time=0.0)
+        twin = CaseRecord(**{**VALID, "approx_len": None, "exact_wall_time": 0.0})
+        assert type(r) is CaseRecord
+        assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
+
+    def test_assignment_is_refused(self):
+        r = CaseRecord(**VALID)
+        with pytest.raises(FrozenInstanceError):
+            r.approx_len = None
+        with pytest.raises(FrozenInstanceError):
+            del r.case_id
+        assert r == CaseRecord(**VALID)
+
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_every_check_rejects_a_direct_build(self, case):
+        fields, message = REJECTIONS[case]
+        with pytest.raises(ValueError, match=message):
+            CaseRecord(**{**VALID, **fields})
+        with pytest.raises(ValueError, match=message):
+            replace(CaseRecord(**VALID), **fields)
+
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_every_check_rejects_a_build_from_outcomes(self, case):
+        fields, message = REJECTIONS[case]
+        f = {**VALID, **fields}
+        exact = PlanOutcome(FOUND, _path(f["exact_len"]), f["exact_expansions"], 0)
+        approx = (PlanOutcome(FOUND, _path(f["approx_len"]), f["approx_expansions"], f["approx_skipped"])
+                  if f["approx_len"] is not None
+                  else PlanOutcome(NOT_FOUND, (), f["approx_expansions"], f["approx_skipped"], 0))
+        with pytest.raises(ValueError, match=message):
+            CaseRecord.from_outcomes(f["case_id"], exact, approx, f["exact_wall_time"], f["approx_wall_time"])
 
 
 class TestFromOutcomes:

@@ -3,7 +3,7 @@
 import heapq
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
@@ -24,6 +24,7 @@ from perfplan.gridworld import (
 )
 from perfplan.planner import (
     MODES,
+    FOUND,
     MODULO,
     NO_PERFORATION,
     NOT_FOUND,
@@ -657,6 +658,72 @@ class TestMultiLeg:
 
 
 class TestPlanOutcome:
+    PATH = (Cell(0, 0), Cell(1, 0))
+
     def test_found_flag(self):
         assert PlanOutcome(NOT_FOUND, (), 3, 1).found is False
         assert PlanOutcome("found", (Cell(0, 0),), 1, 0).found is True
+
+    def test_failed_leg_defaults_to_none(self):
+        out = PlanOutcome(FOUND, self.PATH, 2, 1)
+        assert out.failed_leg is None
+        assert astuple(out) == (FOUND, self.PATH, 2, 1, None)
+
+    def test_equals_hashes_and_prints_as_its_keyword_built_twin(self):
+        out = PlanOutcome(NOT_FOUND, (), 4, 3, 1)
+        twin = PlanOutcome(status=NOT_FOUND, path=(), expansions=4, skipped=3, failed_leg=1)
+        assert out == twin and hash(out) == hash(twin) and repr(out) == repr(twin)
+        assert repr(out) == "PlanOutcome(status='not_found', path=(), expansions=4, skipped=3, failed_leg=1)"
+        assert out != replace(twin, skipped=2)
+
+    def test_replace_returns_the_same_class(self):
+        out = replace(PlanOutcome(FOUND, self.PATH, 2, 1), expansions=7, failed_leg=0)
+        twin = PlanOutcome(status=FOUND, path=self.PATH, expansions=7, skipped=1, failed_leg=0)
+        assert type(out) is PlanOutcome
+        assert out == twin and hash(out) == hash(twin) and repr(out) == repr(twin)
+
+    def test_assignment_is_refused(self):
+        out = PlanOutcome(FOUND, self.PATH, 2, 1)
+        with pytest.raises(FrozenInstanceError):
+            out.skipped = 0
+        with pytest.raises(FrozenInstanceError):
+            out.failed_leg = 1
+        with pytest.raises(FrozenInstanceError):
+            del out.path
+        assert astuple(out) == (FOUND, self.PATH, 2, 1, None)
+
+
+# (0, 0) is free, and its padded index is the free one closest to index 0,
+# the border byte that ends a found path's decode.
+SHARED_CELL_MAP = ["......",
+                   ".##.#.",
+                   "...#..",
+                   ".#....",
+                   "......"]
+SHARED_CELL_QUERIES = {
+    "one cell": (Cell(4, 2), Cell(4, 2)),
+    "next to the goal": (Cell(2, 2), Cell(2, 3)),
+    "from (0, 0)": (Cell(0, 0), Cell(5, 4)),
+    "to (0, 0)": (Cell(5, 2), Cell(0, 0)),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
+@pytest.mark.parametrize("rate", [Fraction(0), Fraction(22, 25)], ids=["exact", "r22_25"])
+@pytest.mark.parametrize("query", SHARED_CELL_QUERIES)
+def test_found_path_is_made_of_the_maps_shared_cells(warm, rate, query):
+    grid = GridMap(6, 5, frozenset(Cell(x, y) for y, row in enumerate(SHARED_CELL_MAP)
+                                   for x, ch in enumerate(row) if ch == "#"))
+    if warm:
+        grid.free_cells()  # makes every free cell's Cell
+    assert any(grid._cells) == warm
+    start, goal = SHARED_CELL_QUERIES[query]
+    if rate:
+        spec = PerforationSpec.from_rate(rate)
+        out = astar_perforated(grid, start, goal, spec)
+    else:
+        spec = None
+        out = astar_exact(grid, start, goal)
+    assert out.found and out == reference_astar(grid, start, goal, spec, None)
+    w = grid.width + 2
+    assert all(cell is grid._cell((cell.y + 1) * w + cell.x + 1) for cell in out.path)
