@@ -92,7 +92,7 @@ def _cmd_simulate(args) -> int:
         trace = "\n".join(lines) + "\n"
         if args.trace != "-":
             # Written before the report, so a failed write leaves stdout empty.
-            Path(args.trace).write_text(trace)
+            Path(args.trace).write_text(trace, encoding="utf-8")
     for rid, out in report.outcomes.items():
         if out.found:
             print(f"robot {rid}: {out.edges} edges, {out.expansions} expansions, "
@@ -125,7 +125,7 @@ def _cmd_simulate(args) -> int:
 def _emit(rows, args) -> int:
     text = emit_reports(rows, format=args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

@@ -6,25 +6,32 @@ Two robots collide either by occupying one cell during the same tick (vertex)
 or by exchanging adjacent cells across a tick boundary (edge/swap); both kinds
 are reported because a head-on meeting on a grid is always one of the two.
 
-_tick_events is the one rule that builds a tick's events: set operations
-over the tick's cells and moves flag a collision, and only then are robots
-indexed by cell and by move, O(R) per tick. On a small group (by robot
-count) detect_collisions runs it only on the ticks that the pair scan flags
-by comparing every robot pair tick by tick, O(R^2*T), which costs less
-there. On a large group it runs it on every tick, over the robots still
-moving: a robot that has parked enters a cell -> robots index once, which
-the rule checks the moving robots against, and the events of two parked
-robots on one cell are appended once, for every tick to the horizon.
+_tick_events is the one rule that builds a tick's events, over any
+hashable cell keys: set operations over the tick's keys and moves flag a
+collision, and only then are the robots on a shared key indexed, O(R) per
+tick, and the events' keys decoded into cells. On a small group (by robot count)
+detect_collisions runs it only on the ticks that the pair scan flags by
+comparing every robot pair tick by tick, O(R^2*T), which costs less there.
+On a large group it runs it on every tick, over the robots still moving: a
+robot that has parked enters a key -> robots index once, which the rule
+checks the moving robots against, and the events of two parked robots on
+one cell are appended once, for every tick to the horizon.
 
 replay checks and replays plans already in hand; simulate plans every task
-and hands its plans to replay.
+and hands its plans to replay. replay turns each found path into the grid's
+padded mask indices once, in the one pass that checks them free, and those
+ints serve two more passes: the step check (_first_bad_step, the one home
+of the step rule, which Timeline applies to its own int keys too) and
+detection, which detect_collisions runs on the timelines' index columns,
+decoding only the events' cells into the grid's shared Cells.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, count, repeat
-from operator import itemgetter, ne
+from itertools import combinations, compress, count, islice, repeat
+from operator import add, itemgetter, lt, mul, ne, sub
 
 from .gridworld import Scenario
 from .planner import NO_PERFORATION, PerforationSpec, manhattan, plan_multi_leg
@@ -33,18 +40,57 @@ VERTEX = "vertex"
 EDGE = "edge"
 
 
+def _first_bad_step(keys, stride) -> int:
+    """The first tick t at which keys[t] - keys[t - 1] is not 0, +-1 or
+    +-stride, or 0 if there is none.
+
+    A cell's key is `y * stride + x` plus a constant, with every x inside a
+    span of at most stride - 2 columns: a step then differs by 0, +-1 or
+    +-stride exactly when it waits or moves to a 4-neighbor. The unused
+    column between rows makes the row-wrap step differ by more than 1.
+    """
+    steps = {0, 1, -1, stride, -stride}
+    if steps.issuperset(map(sub, islice(keys, 1, None), keys)):
+        return 0
+    return next(t for t, step in enumerate(map(sub, islice(keys, 1, None), keys), 1) if step not in steps)
+
+
 @dataclass(frozen=True)
 class Timeline:
-    """positions[t] is the cell robot `robot_id` occupies during tick t."""
+    """positions[t] is the cell robot `robot_id` occupies during tick t.
+
+    While replay runs detection, the timelines it builds also hold `_keys`,
+    their positions as padded mask indices of `_grid` (neither is a field,
+    so `==`, hashing and repr ignore them); detect_collisions runs on those
+    when every timeline it is given holds them for one grid. Any other
+    timeline, and every timeline of a report, holds None.
+    """
 
     robot_id: int
     positions: tuple
+    _keys = None
+    _grid = None
 
     def __post_init__(self):
-        if not self.positions:
+        positions = self.positions
+        if not positions:
             raise ValueError("timeline needs at least the start position")
-        for t in range(1, len(self.positions)):
-            a, b = self.positions[t - 1], self.positions[t]
+        # Int keys of its own: x offset by its smallest x, one unused
+        # column between rows.
+        try:
+            xs, ys = zip(*positions, strict=True)
+            lo = min(xs)
+            stride = max(xs) - lo + 2
+            keys = list(map(add, map(mul, ys, repeat(stride)), map(sub, xs, repeat(lo))))
+        except (TypeError, ValueError):
+            keys = None
+        if keys is not None and {*map(type, keys)} == {int}:
+            if t := _first_bad_step(keys, stride):
+                raise ValueError(f"non-adjacent step {positions[t - 1]} -> {positions[t]} at tick {t}")
+            return
+        # A coordinate that is no int: steps are judged by manhattan.
+        for t in range(1, len(positions)):
+            a, b = positions[t - 1], positions[t]
             if a != b and manhattan(a, b) != 1:
                 raise ValueError(f"non-adjacent step {a} -> {b} at tick {t}")
 
@@ -107,7 +153,10 @@ def detect_collisions(timelines) -> tuple:
     path_to_timeline first. Groups of more than _PER_TICK_ROBOTS build
     events on every tick, for the robots still moving, and index the parked
     ones (_moving_then_parked); smaller ones build them only on the ticks
-    that _pair_scan flags. _tick_events builds a tick's events in both.
+    that _pair_scan flags. _tick_events builds a tick's events in both. The
+    rule runs on the timelines' mask indices when replay built them all on
+    one grid, and decodes an event's cells through that grid's `_cell`;
+    otherwise it runs on the positions themselves.
     """
     tls = list(timelines)
     if len({tl.horizon for tl in tls}) > 1:
@@ -117,16 +166,25 @@ def detect_collisions(timelines) -> tuple:
     for a, b in zip(ids, ids[1:]):
         if a == b:
             raise ValueError(f"duplicate robot id {a}")
-    cols = [tl.positions for tl in tls]
+    grid = tls[0]._grid if tls else None
+    if grid is not None and all(tl._grid is grid for tl in tls):
+        cols, cell = [tl._keys for tl in tls], grid._cell
+    else:
+        cols, cell = [tl.positions for tl in tls], _as_is
     events: list = []
     if len(tls) > _PER_TICK_ROBOTS:
-        _moving_then_parked(ids, cols, events)
+        _moving_then_parked(ids, cols, events, cell)
     else:
         for t in _pair_scan(cols):
             prev = [c[t - 1] for c in cols] if t else None
-            _tick_events(t, ids, prev, [c[t] for c in cols], events)
+            _tick_events(t, ids, prev, [c[t] for c in cols], events, cell)
     events.sort(key=lambda e: (e.t, e.robots, e.kind))
     return tuple(events)
+
+
+def _as_is(cell):
+    """An event's cell where the rule runs on the positions themselves."""
+    return cell
 
 
 def _parking_tick(positions) -> int:
@@ -135,12 +193,13 @@ def _parking_tick(positions) -> int:
     return len(positions) - trailing
 
 
-def _moving_then_parked(ids, cols, events) -> None:
-    """Append every event of the timelines `cols` of robots `ids`.
+def _moving_then_parked(ids, cols, events, cell) -> None:
+    """Append every event of the key columns `cols` of robots `ids`; `cell`
+    decodes a key into the events' cell.
 
     A robot moves up to its parking tick, the tick of its last step, and is
     parked after it. _tick_events runs each tick over the moving robots
-    alone, against `parked`, a cell -> robot ids index that each robot
+    alone, against `parked`, a key -> robot ids index that each robot
     enters once. The events of two robots parked on one cell are appended
     once, at the later one's entry, for every tick up to the horizon.
     """
@@ -153,12 +212,12 @@ def _moving_then_parked(ids, cols, events) -> None:
     prev = None
     for t, row in enumerate(zip(*cols)):
         cur = row[:moving]
-        _tick_events(t, ids[:moving], prev, cur, events, parked)
+        _tick_events(t, ids[:moving], prev, cur, events, cell, parked)
         while moving and parks[moving - 1] == t:
             moving -= 1
-            rid, cell = ids[moving], cols[moving][-1]
-            here = parked.setdefault(cell, [])
-            at = (cell,)  # shared by the pair's events at every tick
+            rid, key = ids[moving], cols[moving][-1]
+            here = parked.setdefault(key, [])
+            at = (cell(key),)  # shared by the pair's events at every tick
             for other in here:
                 pair = (other, rid) if other < rid else (rid, other)
                 events.extend(CollisionEvent(k, VERTEX, pair, at) for k in range(t + 1, horizon + 1))
@@ -180,27 +239,31 @@ def _pair_scan(cols) -> set:
     return ticks
 
 
-def _tick_events(t, ids, prev, cur, events, parked=None) -> None:
-    """Append tick t's events, given every robot's cell at t - 1 (`prev`,
-    None at t = 0) and at t (`cur`), in the order of `ids`, and a cell ->
-    robot ids index of the robots `parked` there since before t, if any.
-    `ids` may come in any order; a pair is written lower id first. Set
-    operations flag a collision; only then are robots indexed by cell, or
-    the robots making a move whose reverse is made indexed by move."""
+def _tick_events(t, ids, prev, cur, events, cell, parked=None) -> None:
+    """Append tick t's events, given every robot's cell key at t - 1
+    (`prev`, None at t = 0) and at t (`cur`), in the order of `ids`, a
+    decoder `cell` from a key to the events' cell, and a key -> robot ids
+    index of the robots `parked` there since before t, if any. `ids` may
+    come in any order; a pair is written lower id first. Set operations
+    flag a collision; only then are the robots on a key held more than once
+    indexed by key, or the robots making a move whose reverse is made
+    indexed by move."""
     cells = set(cur)
-    # Fewer distinct cells than robots: two robots share a cell.
+    # Fewer distinct keys than robots: two robots share a cell. Only the
+    # robots on a key held more than once are indexed.
     if len(cells) < len(ids):
+        counts = Counter(cur)
         at_cell: dict = {}
-        for rid, cell in zip(ids, cur):
-            at_cell.setdefault(cell, []).append(rid)
-        for cell, here in at_cell.items():
+        for rid, key in compress(zip(ids, cur), map(lt, repeat(1), map(counts.__getitem__, cur))):
+            at_cell.setdefault(key, []).append(rid)
+        for key, here in at_cell.items():
             for a, b in combinations(here, 2):
-                events.append(CollisionEvent(t, VERTEX, (a, b) if a < b else (b, a), (cell,)))
+                events.append(CollisionEvent(t, VERTEX, (a, b) if a < b else (b, a), (cell(key),)))
     # A robot on a cell that parked robots hold.
     if parked and (held := parked.keys() & cells):
-        for b, cell in compress(zip(ids, cur), map(held.__contains__, cur)):
-            for a in parked[cell]:
-                events.append(CollisionEvent(t, VERTEX, (a, b) if a < b else (b, a), (cell,)))
+        for b, key in compress(zip(ids, cur), map(held.__contains__, cur)):
+            for a in parked[key]:
+                events.append(CollisionEvent(t, VERTEX, (a, b) if a < b else (b, a), (cell(key),)))
     # A swap is a move prev -> cur whose reverse cur -> prev is also made,
     # so it needs a cell that is in both rows; a stationary robot's
     # (cell, cell) is no move.
@@ -214,7 +277,7 @@ def _tick_events(t, ids, prev, cur, events, parked=None) -> None:
                 for b in movers.get((c, p), ()):
                     for a in forward:
                         if a < b:
-                            events.append(CollisionEvent(t, EDGE, (a, b), (p, c)))
+                            events.append(CollisionEvent(t, EDGE, (a, b), (cell(p), cell(c))))
 
 
 def simulate(scenario: Scenario, spec: PerforationSpec = NO_PERFORATION) -> SimulationReport:
@@ -230,31 +293,74 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
     A robot whose plan failed is recorded in failed_robots and excluded from
     collision analysis; the other robots are still replayed, so a planning
     failure is never mislabelled as a collision. A found path through a
-    blocked, off-grid or non-integer cell raises RuntimeError; Timeline
-    checks that its steps are adjacent.
+    blocked, off-grid or non-integer cell raises RuntimeError; every path's
+    cells are checked before any path's steps, and a non-adjacent step
+    raises ValueError, as Timeline does.
     """
     found = {rid: out for rid, out in outcomes.items() if out.found}
     grid = scenario.grid
-    mask, w, width, height = grid._mask, grid.width + 2, grid.width, grid.height
-    for rid, out in found.items():
-        # One try per path, not a type test per cell: a coordinate that is
-        # no int fails the range test or the mask index with TypeError.
-        try:
-            for cell in out.path:
-                x, y = cell
-                # The range test stays: the padded index of a cell two or more
-                # steps off the grid lands on a cell of another row.
-                if not (0 <= x < width and 0 <= y < height and mask[(y + 1) * w + x + 1]):
-                    raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
-        except TypeError:
-            raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}") from None
+    w = grid.width + 2
+    # The mask index of each row's first cell, so that an index takes one
+    # lookup and one addition.
+    rows = list(range(w + 1, (grid.height + 1) * w, w))
+    keyed = {rid: _mask_indices(grid, rows, rid, out.path) for rid, out in found.items()}
     failed = tuple(rid for rid, out in outcomes.items() if not out.found)
     horizon = max((out.edges for out in found.values()), default=0)
-    timelines = tuple(path_to_timeline(rid, out.path, horizon) for rid, out in found.items())
+    timelines = []
+    for rid, out in found.items():
+        path, keys = out.path, keyed[rid]
+        if not path:
+            raise ValueError("cannot build a timeline from an empty path")
+        if t := _first_bad_step(keys, w):
+            raise ValueError(f"non-adjacent step {path[t - 1]} -> {path[t]} at tick {t}")
+        pad = horizon - len(keys) + 1
+        keys.extend(repeat(keys[-1], pad))
+        # The steps are checked: the timeline is built without a second check.
+        tl = object.__new__(Timeline)
+        tl.__dict__.update(robot_id=rid, positions=(*path, *repeat(path[-1], pad)), _keys=keys, _grid=grid)
+        timelines.append(tl)
+    timelines = tuple(timelines)
+    collisions = detect_collisions(timelines)
+    # The indices served detection; the report keeps the cells alone.
+    for tl in timelines:
+        del tl.__dict__["_keys"], tl.__dict__["_grid"]
     return SimulationReport(
         outcomes=outcomes,
         timelines=timelines,
-        collisions=detect_collisions(timelines),
+        collisions=collisions,
         makespan=horizon,
         failed_robots=failed,
     )
+
+
+def _mask_indices(grid, rows, rid, path) -> list:
+    """`path` as padded mask indices of `grid`, `(y + 1) * (width + 2) + x + 1`,
+    or RuntimeError naming the first cell that is blocked, off the grid or
+    not of int coordinates. `rows[y]` is the index of cell (0, y).
+
+    One pass over the whole path, which fails if it drops a cell or raises;
+    only then are the cells tested one at a time, to name the first bad one.
+    """
+    try:
+        keys = _free_indices(grid, rows, path)
+    except (TypeError, ValueError):
+        keys = None
+    if keys is None or len(keys) < len(path):
+        for cell in path:
+            # A coordinate that is no int fails the range test or an index
+            # with TypeError; a cell that is no pair raises ValueError.
+            try:
+                if _free_indices(grid, rows, (cell,)):
+                    continue
+            except TypeError:
+                pass
+            raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
+    return keys
+
+
+def _free_indices(grid, rows, cells) -> list:
+    """The padded mask index of each of `cells` that is on the grid and free."""
+    width, height, mask = grid.width, grid.height, grid._mask
+    # The range test stays: the padded index of a cell two or more steps
+    # off the grid lands on a cell of another row.
+    return [k for x, y in cells if 0 <= x < width and 0 <= y < height and mask[k := rows[y] + x]]

@@ -132,6 +132,20 @@ class TestSimulateOutput:
         assert proc.returncode == 0, proc.stderr
         assert b"robot 1: 2 edges" in proc.stdout
 
+    @pytest.mark.parametrize("argv, written", [
+        (["simulate", "warehouse", "--trace", "t.csv"], "t.csv"),
+        (["sweep", "room", "--cases", "1", "--out", "o.csv"], "o.csv"),
+    ])
+    def test_report_files_are_written_as_utf8(self, tmp_path, argv, written):
+        # A write in the locale's default encoding warns under
+        # warn_default_encoding; the warning filter makes that an error.
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "perfplan.cli", *argv], capture_output=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / written).read_text(encoding="utf-8").startswith(("t,robot_id,x,y\n", "rate,"))
+
     def test_trace_to_stdout(self, capsys):
         assert main(["simulate", "warehouse", "--trace", "-"]) == 0
         out = capsys.readouterr().out

@@ -43,6 +43,25 @@ class TestTimeline:
         with pytest.raises(ValueError, match="non-adjacent"):
             Timeline(1, (Cell(0, 0), Cell(1, 1)))
 
+    @pytest.mark.parametrize("positions, step", [
+        # From its largest x to its smallest on the next row, and back.
+        ((Cell(3, 0), Cell(0, 1)), "3,0 -> 0,1 at tick 1"),
+        ((Cell(0, 1), Cell(3, 0)), "0,1 -> 3,0 at tick 1"),
+        ((Cell(-2, -1), Cell(-2, -1), Cell(-1, 0), Cell(-1, 1)), "-2,-1 -> -1,0 at tick 2"),
+        ((Cell(7, 4), Cell(8, 4), Cell(7, 4), Cell(6, 5)), "7,4 -> 6,5 at tick 3"),
+    ])
+    def test_names_the_first_non_adjacent_step(self, positions, step):
+        with pytest.raises(ValueError, match=rf"^non-adjacent step {step}$"):
+            Timeline(1, positions)
+
+    def test_lawful_steps_off_the_origin(self):
+        Timeline(1, (Cell(-3, -1), Cell(-2, -1), Cell(-2, 0), Cell(-2, 0), Cell(-3, 0), Cell(-3, -1)))
+
+    def test_positions_that_are_not_ints_are_judged_by_manhattan(self):
+        Timeline(1, (Cell(0, 0), Cell(1.0, 0), Cell(1.5, 0.5)))
+        with pytest.raises(ValueError, match=r"^non-adjacent step 0,0 -> 0.5,0 at tick 1$"):
+            Timeline(1, (Cell(0, 0), Cell(0.5, 0)))
+
 
 class TestPathToTimeline:
     def test_single_cell_path_parks_for_whole_horizon(self):
@@ -373,3 +392,45 @@ class TestReplay:
         scenario = builtin_scenario(name)
         outcomes = {task.robot_id: plan_multi_leg(scenario.grid, task, spec) for task in scenario.tasks}
         assert replay(scenario, outcomes) == simulate(scenario, spec)
+
+    # A found path is checked at replay: every cell of every robot first,
+    # then every robot's steps. `paths` maps robot id -> cells, in id order.
+    @staticmethod
+    def replay_paths(grid, paths):
+        scenario = Scenario("paths", grid, tuple(
+            RobotTask(rid, Cell(0, 0), Cell(1, 0)) for rid in paths))
+        return replay(scenario, {rid: PlanOutcome(FOUND, tuple(path), 1, 0) for rid, path in paths.items()})
+
+    @pytest.mark.parametrize("path, step", [
+        # The row-wrap step from the last column to the first of the next
+        # row: adjacent in row-major order, not on the grid.
+        ([Cell(2, 0), Cell(3, 0), Cell(0, 1), Cell(1, 1)], "3,0 -> 0,1 at tick 2"),
+        ([Cell(3, 1), Cell(0, 2)], "3,1 -> 0,2 at tick 1"),
+        ([Cell(0, 2), Cell(3, 1)], "0,2 -> 3,1 at tick 1"),
+        ([Cell(0, 0), Cell(0, 0), Cell(2, 2)], "0,0 -> 2,2 at tick 2"),
+        ([Cell(1, 1), Cell(2, 2)], "1,1 -> 2,2 at tick 1"),
+        ([Cell(0, 0), Cell(1, 0), Cell(2, 0), Cell(2, 1), Cell(2, 1), Cell(0, 1)], "2,1 -> 0,1 at tick 5"),
+    ])
+    def test_non_adjacent_step_is_rejected_with_its_cells_and_tick(self, path, step):
+        grid = GridMap(width=4, height=3, blocked=frozenset())
+        lawful = [Cell(3, 2), Cell(2, 2)]
+        with pytest.raises(ValueError, match=rf"^non-adjacent step {step}$"):
+            self.replay_paths(grid, {1: lawful, 2: path})
+
+    def test_every_cell_is_checked_before_any_step(self):
+        grid = GridMap(width=4, height=3, blocked=frozenset({Cell(1, 1)}))
+        teleport = [Cell(0, 0), Cell(3, 2)]
+        through_wall = [Cell(1, 0), Cell(1, 1), Cell(1, 2)]
+        for paths in ({1: teleport, 2: through_wall}, {1: through_wall, 2: teleport}):
+            rid = next(r for r, p in paths.items() if p is through_wall)
+            with pytest.raises(RuntimeError, match=rf"^robot {rid}: planned path crosses blocked cell 1,1$"):
+                self.replay_paths(grid, paths)
+
+    def test_lawful_paths_on_the_grid_edges_replay(self):
+        # Steps along the first and last row and column, and waits.
+        grid = GridMap(width=4, height=3, blocked=frozenset())
+        ring = [Cell(0, 0), Cell(1, 0), Cell(2, 0), Cell(3, 0), Cell(3, 1), Cell(3, 2),
+                Cell(3, 2), Cell(2, 2), Cell(1, 2), Cell(0, 2), Cell(0, 1)]
+        report = self.replay_paths(grid, {1: ring, 2: [Cell(1, 1)]})
+        assert report.makespan == 10 and report.collisions == ()
+        assert report.timelines[0].positions == tuple(ring)

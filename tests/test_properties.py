@@ -26,7 +26,7 @@ from oracles import (  # noqa: E402
     scan_collisions,
 )
 from perfplan.assignment import CostMatrix, build_cost_matrix, hungarian, unreachable_sentinel  # noqa: E402
-from perfplan.executor import _PER_TICK_ROBOTS, detect_collisions, path_to_timeline  # noqa: E402
+from perfplan.executor import _PER_TICK_ROBOTS, Timeline, detect_collisions, path_to_timeline, replay, simulate  # noqa: E402
 from perfplan.gridworld import (  # noqa: E402
     Cell,
     GridMap,
@@ -35,16 +35,19 @@ from perfplan.gridworld import (  # noqa: E402
     ScenarioError,
     _parse_cell,
     _render_grid,
+    builtin_scenario,
     component_labels,
     load_scenario,
     render_scenario,
 )
 from perfplan import planner  # noqa: E402
 from perfplan.planner import (  # noqa: E402
+    FOUND,
     MODES,
     NO_PERFORATION,
     TRUNCATION,
     PerforationSpec,
+    PlanOutcome,
     _astar,
     astar_exact,
     astar_perforated,
@@ -385,3 +388,123 @@ def test_detector_matches_exhaustive_scan(timelines):
 def test_detector_matches_exhaustive_scan_on_large_groups(timelines):
     got = [(e.t, e.kind, e.robots, e.cells) for e in detect_collisions(timelines)]
     assert got == scan_collisions(timelines)
+
+
+# Cells within a 5x5 square around the origin: a step between two of them
+# is lawful about one time in five.
+@SEARCH_SETTINGS
+@given(st.lists(st.builds(Cell, st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=12))
+def test_timeline_rejects_the_first_step_that_manhattan_rejects(positions):
+    bad = next((t for t in range(1, len(positions)) if manhattan(positions[t - 1], positions[t]) > 1), None)
+    if bad is None:
+        assert Timeline(1, tuple(positions)).positions == tuple(positions)
+    else:
+        with pytest.raises(ValueError) as caught:
+            Timeline(1, tuple(positions))
+        assert str(caught.value) == f"non-adjacent step {positions[bad - 1]} -> {positions[bad]} at tick {bad}"
+
+
+def _walk(draw, grid, min_size=0, max_size=10):
+    """A lawful random walk on `grid` (waits allowed) from a free cell."""
+    path = [draw(st.sampled_from(grid.free_cells()))]
+    for dx, dy in draw(st.lists(st.sampled_from(_MOVES), min_size=min_size, max_size=max_size)):
+        nxt = Cell(path[-1].x + dx, path[-1].y + dy)
+        path.append(nxt if grid.is_free(nxt) else path[-1])
+    return path
+
+
+@st.composite
+def faulty_plans(draw):
+    """1 to 6 lawful walks on a grid of up to 5x5, one of whose cells is
+    replaced by a blocked cell, a cell off the grid (some of whose padded
+    mask indices land on a free cell of another row), a cell with a
+    coordinate that is no int, or a free cell, which usually makes a
+    non-adjacent step."""
+    grid = draw(grids(max_side=5))
+    paths = {rid: _walk(draw, grid) for rid in range(1, draw(st.integers(1, 6)) + 1)}
+    path = paths[draw(st.sampled_from(sorted(paths)))]
+    t = draw(st.integers(0, len(path) - 1))
+    x, y = path[t]
+    w, h = grid.width, grid.height
+    kind = draw(st.sampled_from(("blocked", "off-grid", "non-int", "free")))
+    if kind == "blocked":
+        assume(grid.blocked)
+        fault = draw(st.sampled_from(sorted(grid.blocked)))
+    elif kind == "off-grid":
+        fault = draw(st.sampled_from([Cell(-1, y), Cell(-3, y), Cell(w, y), Cell(w + 2, y),
+                                      Cell(x, -1), Cell(x, -h - 3), Cell(x, h), Cell(x, h + 2)]))
+    elif kind == "non-int":
+        fault = draw(st.sampled_from([Cell(x + 0.5, y), Cell(float(x), y), Cell(x, float(y)),
+                                      Cell(str(x), y), Cell(x, None)]))
+    else:
+        fault = draw(st.sampled_from(grid.free_cells()))
+    path[t] = fault
+    return grid, paths
+
+
+def _reference_replay_error(grid, paths):
+    """The error that replaying found `paths` (robot id -> cells, in id
+    order) must raise, or None: every cell of every path is scanned, then
+    every step of every path."""
+    for rid, path in paths.items():
+        for cell in path:
+            x, y = cell
+            if (not (type(x) is int and type(y) is int and 0 <= x < grid.width and 0 <= y < grid.height)
+                    or cell in grid.blocked):
+                return RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
+    for path in paths.values():
+        for t, (a, b) in enumerate(zip(path, path[1:]), 1):
+            if abs(a.x - b.x) + abs(a.y - b.y) > 1:
+                return ValueError(f"non-adjacent step {a} -> {b} at tick {t}")
+    return None
+
+
+@SEARCH_SETTINGS
+@given(faulty_plans())
+def test_replay_raises_what_a_cell_then_step_scan_predicts(plans):
+    grid, paths = plans
+    outcomes = {rid: PlanOutcome(FOUND, tuple(path), 1, 0) for rid, path in paths.items()}
+    want = _reference_replay_error(grid, paths)
+    if want is None:
+        report = replay(SimpleNamespace(grid=grid), outcomes)
+        assert [tl.positions[:len(paths[tl.robot_id])] for tl in report.timelines] == list(map(tuple, paths.values()))
+        assert [(e.t, e.kind, e.robots, e.cells) for e in report.collisions] == scan_collisions(report.timelines)
+    else:
+        with pytest.raises((RuntimeError, ValueError)) as caught:
+            replay(SimpleNamespace(grid=grid), outcomes)
+        assert (type(caught.value), str(caught.value)) == (type(want), str(want))
+
+
+def _tiled_warehouse(nx, ny):
+    tile = builtin_scenario("warehouse").grid
+    return GridMap(tile.width * nx, tile.height * ny, frozenset(
+        (x + i * tile.width, y + j * tile.height) for i in range(nx) for j in range(ny) for x, y in tile.blocked))
+
+
+_TILED = _tiled_warehouse(2, 1)
+
+
+@st.composite
+def warehouse_groups(draw):
+    """6 to 24 robots with 0 to 2 waypoints each on the built-in warehouse
+    tiled 2x1 (48x21), and a spec to plan them with."""
+    free = _TILED.free_cells()
+    tasks = []
+    for rid in range(1, draw(st.integers(6, 24)) + 1):
+        stops = draw(st.lists(st.sampled_from(free), min_size=2, max_size=4, unique=True))
+        tasks.append(RobotTask(rid, stops[0], stops[-1], tuple(stops[1:-1])))
+    return Scenario("tiled", _TILED, tuple(tasks)), draw(st.one_of(st.just(NO_PERFORATION), perforation_specs()))
+
+
+# Large groups replay through `replay` itself: the detector runs on the
+# replayed paths' mask indices and decodes only the events' cells.
+@settings(max_examples=30, deadline=None)
+@given(warehouse_groups())
+def test_large_group_replay_matches_exhaustive_scan(group):
+    scenario, spec = group
+    report = simulate(scenario, spec)
+    assume(len(report.timelines) > _PER_TICK_ROBOTS)
+    assert [(e.t, e.kind, e.robots, e.cells) for e in report.collisions] == scan_collisions(report.timelines)
+    w = _TILED.width + 2
+    for cell in (cell for e in report.collisions for cell in e.cells):
+        assert cell is _TILED._cell((cell.y + 1) * w + cell.x + 1)
