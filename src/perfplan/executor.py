@@ -8,9 +8,9 @@ are reported because a head-on meeting on a grid is always one of the two.
 
 _tick_events is the one rule that builds a tick's events, over any
 hashable cell keys: set operations over the tick's keys and moves flag a
-collision, and only then are the robots on a shared key indexed, O(R) per
-tick, and the events' keys decoded into cells. On a small group (by robot count)
-detect_collisions runs it only on the ticks that the pair scan flags by
+collision, and only then are robots indexed by key and by move, O(R) per
+tick, and the events' keys decoded into cells. On a small group (by robot
+count) _events runs it only on the ticks that the pair scan flags by
 comparing every robot pair tick by tick, O(R^2*T), which costs less there.
 On a large group it runs it on every tick, over the robots still moving: a
 robot that has parked enters a key -> robots index once, which the rule
@@ -20,18 +20,18 @@ one cell are appended once, for every tick to the horizon.
 replay checks and replays plans already in hand; simulate plans every task
 and hands its plans to replay. replay turns each found path into the grid's
 padded mask indices once, in the one pass that checks them free, and those
-ints serve two more passes: the step check (_first_bad_step, the one home
-of the step rule, which Timeline applies to its own int keys too) and
-detection, which detect_collisions runs on the timelines' index columns,
-decoding only the events' cells into the grid's shared Cells.
+ints serve two more passes: its step check (_first_bad_step, by index
+difference) and detection, which runs the event rule on the index columns
+and decodes only the events' cells into the grid's shared Cells. A Timeline
+built directly judges its steps by manhattan, and detect_collisions runs
+the event rule on its positions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress, count, islice, repeat
-from operator import add, itemgetter, lt, mul, ne, sub
+from operator import itemgetter, ne, sub
 
 from .gridworld import Scenario
 from .planner import NO_PERFORATION, PerforationSpec, manhattan, plan_multi_leg
@@ -57,40 +57,16 @@ def _first_bad_step(keys, stride) -> int:
 
 @dataclass(frozen=True)
 class Timeline:
-    """positions[t] is the cell robot `robot_id` occupies during tick t.
-
-    While replay runs detection, the timelines it builds also hold `_keys`,
-    their positions as padded mask indices of `_grid` (neither is a field,
-    so `==`, hashing and repr ignore them); detect_collisions runs on those
-    when every timeline it is given holds them for one grid. Any other
-    timeline, and every timeline of a report, holds None.
-    """
+    """positions[t] is the cell robot `robot_id` occupies during tick t."""
 
     robot_id: int
     positions: tuple
-    _keys = None
-    _grid = None
 
     def __post_init__(self):
-        positions = self.positions
-        if not positions:
+        if not self.positions:
             raise ValueError("timeline needs at least the start position")
-        # Int keys of its own: x offset by its smallest x, one unused
-        # column between rows.
-        try:
-            xs, ys = zip(*positions, strict=True)
-            lo = min(xs)
-            stride = max(xs) - lo + 2
-            keys = list(map(add, map(mul, ys, repeat(stride)), map(sub, xs, repeat(lo))))
-        except (TypeError, ValueError):
-            keys = None
-        if keys is not None and {*map(type, keys)} == {int}:
-            if t := _first_bad_step(keys, stride):
-                raise ValueError(f"non-adjacent step {positions[t - 1]} -> {positions[t]} at tick {t}")
-            return
-        # A coordinate that is no int: steps are judged by manhattan.
-        for t in range(1, len(positions)):
-            a, b = positions[t - 1], positions[t]
+        for t in range(1, len(self.positions)):
+            a, b = self.positions[t - 1], self.positions[t]
             if a != b and manhattan(a, b) != 1:
                 raise ValueError(f"non-adjacent step {a} -> {b} at tick {t}")
 
@@ -146,33 +122,38 @@ def path_to_timeline(robot_id: int, path, horizon: int) -> Timeline:
 _PER_TICK_ROBOTS = 5
 
 
-def detect_collisions(timelines) -> tuple:
+def detect_collisions(timelines, *, _keys=None) -> tuple:
     """Every vertex and swap event over all robot pairs, sorted by (t, robots).
 
     Timelines must share one horizon and distinct robot ids; pad them via
-    path_to_timeline first. Groups of more than _PER_TICK_ROBOTS build
-    events on every tick, for the robots still moving, and index the parked
-    ones (_moving_then_parked); smaller ones build them only on the ticks
-    that _pair_scan flags. _tick_events builds a tick's events in both. The
-    rule runs on the timelines' mask indices when replay built them all on
-    one grid, and decodes an event's cells through that grid's `_cell`;
-    otherwise it runs on the positions themselves.
+    path_to_timeline first. The event rule runs on the timelines'
+    positions; replay passes `_keys`, the same ticks as columns of its
+    grid's mask indices (in the timelines' order) and the decoder from an
+    index to the grid's shared Cell, and the rule runs on those.
     """
     tls = list(timelines)
     if len({tl.horizon for tl in tls}) > 1:
         raise ValueError("timelines have mismatched horizons; pad them first")
-    tls.sort(key=lambda tl: tl.robot_id)
-    ids = [tl.robot_id for tl in tls]
+    cols, cell = _keys if _keys is not None else ([tl.positions for tl in tls], _as_is)
+    order = sorted(range(len(tls)), key=lambda i: tls[i].robot_id)
+    ids = [tls[i].robot_id for i in order]
     for a, b in zip(ids, ids[1:]):
         if a == b:
             raise ValueError(f"duplicate robot id {a}")
-    grid = tls[0]._grid if tls else None
-    if grid is not None and all(tl._grid is grid for tl in tls):
-        cols, cell = [tl._keys for tl in tls], grid._cell
-    else:
-        cols, cell = [tl.positions for tl in tls], _as_is
+    return _events(ids, [cols[i] for i in order], cell)
+
+
+def _events(ids, cols, cell) -> tuple:
+    """Every event of the key columns `cols` of robots `ids` (ascending),
+    sorted by (t, robots, kind); `cell` decodes a key into its cell.
+
+    Groups of more than _PER_TICK_ROBOTS build events on every tick, for
+    the robots still moving, and index the parked ones
+    (_moving_then_parked); smaller ones build them only on the ticks that
+    _pair_scan flags. _tick_events builds a tick's events in both.
+    """
     events: list = []
-    if len(tls) > _PER_TICK_ROBOTS:
+    if len(ids) > _PER_TICK_ROBOTS:
         _moving_then_parked(ids, cols, events, cell)
     else:
         for t in _pair_scan(cols):
@@ -245,16 +226,13 @@ def _tick_events(t, ids, prev, cur, events, cell, parked=None) -> None:
     decoder `cell` from a key to the events' cell, and a key -> robot ids
     index of the robots `parked` there since before t, if any. `ids` may
     come in any order; a pair is written lower id first. Set operations
-    flag a collision; only then are the robots on a key held more than once
-    indexed by key, or the robots making a move whose reverse is made
-    indexed by move."""
+    flag a collision; only then are robots indexed by key, or the robots
+    making a move whose reverse is made indexed by move."""
     cells = set(cur)
-    # Fewer distinct keys than robots: two robots share a cell. Only the
-    # robots on a key held more than once are indexed.
+    # Fewer distinct keys than robots: two robots share a cell.
     if len(cells) < len(ids):
-        counts = Counter(cur)
         at_cell: dict = {}
-        for rid, key in compress(zip(ids, cur), map(lt, repeat(1), map(counts.__getitem__, cur))):
+        for rid, key in zip(ids, cur):
             at_cell.setdefault(key, []).append(rid)
         for key, here in at_cell.items():
             for a, b in combinations(here, 2):
@@ -306,7 +284,7 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
     keyed = {rid: _mask_indices(grid, rows, rid, out.path) for rid, out in found.items()}
     failed = tuple(rid for rid, out in outcomes.items() if not out.found)
     horizon = max((out.edges for out in found.values()), default=0)
-    timelines = []
+    timelines, cols = [], []
     for rid, out in found.items():
         path, keys = out.path, keyed[rid]
         if not path:
@@ -315,19 +293,18 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
             raise ValueError(f"non-adjacent step {path[t - 1]} -> {path[t]} at tick {t}")
         pad = horizon - len(keys) + 1
         keys.extend(repeat(keys[-1], pad))
-        # The steps are checked: the timeline is built without a second check.
+        cols.append(keys)
+        # The steps are checked: the timeline is built without Timeline's
+        # second check.
         tl = object.__new__(Timeline)
-        tl.__dict__.update(robot_id=rid, positions=(*path, *repeat(path[-1], pad)), _keys=keys, _grid=grid)
+        tl.__dict__.update(robot_id=rid, positions=(*path, *repeat(path[-1], pad)))
         timelines.append(tl)
     timelines = tuple(timelines)
-    collisions = detect_collisions(timelines)
-    # The indices served detection; the report keeps the cells alone.
-    for tl in timelines:
-        del tl.__dict__["_keys"], tl.__dict__["_grid"]
     return SimulationReport(
         outcomes=outcomes,
         timelines=timelines,
-        collisions=collisions,
+        # Through the module global, which the per-layer tracing wraps.
+        collisions=detect_collisions(timelines, _keys=(cols, grid._cell)),
         makespan=horizon,
         failed_robots=failed,
     )

@@ -43,25 +43,6 @@ class TestTimeline:
         with pytest.raises(ValueError, match="non-adjacent"):
             Timeline(1, (Cell(0, 0), Cell(1, 1)))
 
-    @pytest.mark.parametrize("positions, step", [
-        # From its largest x to its smallest on the next row, and back.
-        ((Cell(3, 0), Cell(0, 1)), "3,0 -> 0,1 at tick 1"),
-        ((Cell(0, 1), Cell(3, 0)), "0,1 -> 3,0 at tick 1"),
-        ((Cell(-2, -1), Cell(-2, -1), Cell(-1, 0), Cell(-1, 1)), "-2,-1 -> -1,0 at tick 2"),
-        ((Cell(7, 4), Cell(8, 4), Cell(7, 4), Cell(6, 5)), "7,4 -> 6,5 at tick 3"),
-    ])
-    def test_names_the_first_non_adjacent_step(self, positions, step):
-        with pytest.raises(ValueError, match=rf"^non-adjacent step {step}$"):
-            Timeline(1, positions)
-
-    def test_lawful_steps_off_the_origin(self):
-        Timeline(1, (Cell(-3, -1), Cell(-2, -1), Cell(-2, 0), Cell(-2, 0), Cell(-3, 0), Cell(-3, -1)))
-
-    def test_positions_that_are_not_ints_are_judged_by_manhattan(self):
-        Timeline(1, (Cell(0, 0), Cell(1.0, 0), Cell(1.5, 0.5)))
-        with pytest.raises(ValueError, match=r"^non-adjacent step 0,0 -> 0.5,0 at tick 1$"):
-            Timeline(1, (Cell(0, 0), Cell(0.5, 0)))
-
 
 class TestPathToTimeline:
     def test_single_cell_path_parks_for_whole_horizon(self):

@@ -26,7 +26,7 @@ from oracles import (  # noqa: E402
     scan_collisions,
 )
 from perfplan.assignment import CostMatrix, build_cost_matrix, hungarian, unreachable_sentinel  # noqa: E402
-from perfplan.executor import _PER_TICK_ROBOTS, Timeline, detect_collisions, path_to_timeline, replay, simulate  # noqa: E402
+from perfplan.executor import _PER_TICK_ROBOTS, detect_collisions, path_to_timeline, replay, simulate  # noqa: E402
 from perfplan.gridworld import (  # noqa: E402
     Cell,
     GridMap,
@@ -388,20 +388,6 @@ def test_detector_matches_exhaustive_scan(timelines):
 def test_detector_matches_exhaustive_scan_on_large_groups(timelines):
     got = [(e.t, e.kind, e.robots, e.cells) for e in detect_collisions(timelines)]
     assert got == scan_collisions(timelines)
-
-
-# Cells within a 5x5 square around the origin: a step between two of them
-# is lawful about one time in five.
-@SEARCH_SETTINGS
-@given(st.lists(st.builds(Cell, st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=12))
-def test_timeline_rejects_the_first_step_that_manhattan_rejects(positions):
-    bad = next((t for t in range(1, len(positions)) if manhattan(positions[t - 1], positions[t]) > 1), None)
-    if bad is None:
-        assert Timeline(1, tuple(positions)).positions == tuple(positions)
-    else:
-        with pytest.raises(ValueError) as caught:
-            Timeline(1, tuple(positions))
-        assert str(caught.value) == f"non-adjacent step {positions[bad - 1]} -> {positions[bad]} at tick {bad}"
 
 
 def _walk(draw, grid, min_size=0, max_size=10):
