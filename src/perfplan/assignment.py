@@ -60,11 +60,15 @@ def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
 
     One breadth-first search per robot, run as a bit-parallel wavefront.
     The padded occupancy mask becomes one int whose bit i is mask byte i,
-    so a cell's four neighbors are the shifts by 1 and by width + 2. The
-    blocked border stops a shift from wrapping into the next row. Each
-    level is the previous one shifted four ways and masked by the free
-    cells not yet reached; a task cell gets the level that first covers it.
-    A robot's search stops once it has reached all its task cells or its
+    so a cell's four neighbors are the shifts by 1 and by w = width + 2.
+    The blocked border stops a shift from wrapping into the next row. Each
+    level is the previous one's neighbors masked by the free cells not yet
+    reached; a task cell gets the level that first covers it. The offsets
+    factor as {-w, -1, +1, +w} = {-w, -1} + {0, w + 1}, so the neighbors
+    take three shifts: g = front >> w | front >> 1, then g | g << (w + 1).
+    Every front bit is a free interior cell, at index >= w + 1, so neither
+    right shift drops a bit and the set is the four shifts' union. A
+    robot's search stops once it has reached all its task cells or its
     wavefront dies out. BFS distances equal exact A*'s edge counts.
     """
     robots = [Cell(*c) for c in robot_cells]
@@ -76,6 +80,7 @@ def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
             raise ValueError(f"cell {cell} is blocked or out of range")
     sentinel = unreachable_sentinel(grid)
     w = grid.width + 2
+    up = w + 1
     free = int(grid._mask[::-1].translate(_BIT_DIGITS), 2)
     task_at = [(t.y + 1) * w + t.x + 1 for t in tasks]
     all_targets = sum(1 << i for i in set(task_at))
@@ -96,7 +101,8 @@ def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
                     hit ^= low
                 if not targets:
                     break
-            front = (front << 1 | front >> 1 | front << w | front >> w) & avail
+            g = front >> w | front >> 1
+            front = (g | g << up) & avail
             avail ^= front
             d += 1
         rows.append(tuple(found.get(i, sentinel) for i in task_at))
@@ -107,7 +113,10 @@ def _solve(costs) -> list:
     """Minimum-cost perfect matching, Hungarian method with potentials.
 
     Standard O(n^3) formulation (Kuhn 1955); returns mapping[i] = column of
-    row i. Among several optima it returns an arbitrary one.
+    row i. Among several optima it returns an arbitrary one. Each row step
+    scans only the columns not yet in the alternating tree, in ascending
+    order, so a tie on the slack picks the lowest column, and shifts the
+    potentials of the tree's columns only.
     """
     n = len(costs)
     inf = float("inf")
@@ -119,31 +128,33 @@ def _solve(costs) -> list:
         match[0] = i
         j0 = 0
         minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        free = list(range(1, n + 1))  # columns not in the tree, ascending
+        tree = [0]
         while True:
-            used[j0] = True
             i0 = match[j0]
+            row = costs[i0 - 1]
+            ui = u[i0]
             delta = inf
             j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = costs[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+            for j in free:
+                cur = row[j - 1] - ui - v[j]
+                m = minv[j]
+                if cur < m:
+                    minv[j] = m = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                if m < delta:
+                    delta = m
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in tree:
+                u[match[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if match[j0] == 0:
                 break
+            free.remove(j0)
+            tree.append(j0)
         while j0:
             j1 = way[j0]
             match[j0] = match[j1]

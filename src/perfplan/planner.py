@@ -348,14 +348,15 @@ def plan_multi_leg(grid: GridMap, task: RobotTask,
                    spec: PerforationSpec = NO_PERFORATION) -> PlanOutcome:
     """Plan start -> waypoints... -> goal as independent perforated legs.
 
-    Leg paths are concatenated with junction cells deduplicated; counters are
+    Leg paths are concatenated with junction cells deduplicated, so every
+    cell of the plan is a leg's own, the grid's shared `Cell`; counters are
     summed. Fails with the 0-based failing leg index if any leg fails. A task
     without waypoints is one leg, and its plan is that search's outcome.
     """
     if not task.waypoints:
         out = astar_perforated(grid, task.start, task.goal, spec)
         return out if out.found else replace(out, failed_leg=0)
-    path = [task.start]
+    path = []
     expansions = 0
     skipped = 0
     for leg_index, (src, dst) in enumerate(task.legs()):
@@ -364,5 +365,5 @@ def plan_multi_leg(grid: GridMap, task: RobotTask,
         skipped += outcome.skipped
         if not outcome.found:
             return PlanOutcome(NOT_FOUND, (), expansions, skipped, failed_leg=leg_index)
-        path.extend(outcome.path[1:])
+        path.extend(outcome.path[1:] if path else outcome.path)
     return PlanOutcome(FOUND, tuple(path), expansions, skipped)

@@ -42,6 +42,20 @@ def bfs_distance(grid, start, goal):
     return None
 
 
+def bfs_distances(grid, start):
+    """Shortest path length in edges from `start` to every cell it reaches,
+    by one breadth-first search over `naive_neighbors`."""
+    dist = {start: 0}
+    frontier = deque([start])
+    while frontier:
+        cell = frontier.popleft()
+        for nb in naive_neighbors(grid, cell):
+            if nb not in dist:
+                dist[nb] = dist[cell] + 1
+                frontier.append(nb)
+    return dist
+
+
 def naive_free_cells(grid):
     """Every cell of the grid not in `grid.blocked`, in row-major order."""
     return [Cell(x, y) for y in range(grid.height) for x in range(grid.width) if Cell(x, y) not in grid.blocked]

@@ -10,10 +10,11 @@ import pytest
 import perfplan.assignment as assignment_module
 import perfplan.planner as planner_module
 
-from oracles import bfs_distance, brute_force_assignment
+from oracles import bfs_distance, bfs_distances, brute_force_assignment
 from perfplan.assignment import (
     Assignment,
     CostMatrix,
+    _solve,
     build_cost_matrix,
     hungarian,
     unreachable_sentinel,
@@ -116,6 +117,78 @@ class TestBuildCostMatrix:
                 assert m.costs[i][j] == bfs_distance(WAREHOUSE, r, t)
 
 
+def _bfs_matrix(grid, robots, tasks):
+    sentinel = unreachable_sentinel(grid)
+    return tuple(tuple(sentinel if (d := bfs_distance(grid, r, t)) is None else d for t in tasks)
+                 for r in robots)
+
+
+# A 6x5 map with walls: its corners and its first and last rows are free,
+# where a front bit's right shift by the padded width lands in the top
+# border row.
+WALLED_6x5 = GridMap(6, 5, frozenset({Cell(2, 1), Cell(3, 1), Cell(1, 3), Cell(4, 2), Cell(4, 3)}))
+
+
+class TestWavefrontEdges:
+    """The wavefront's three shifts against the BFS oracle where the
+    padded map has no interior rows or columns to spare."""
+
+    @pytest.mark.parametrize("grid", [GridMap(7, 1, frozenset()), GridMap(1, 7, frozenset()),
+                                      GridMap(7, 1, frozenset({Cell(3, 0)})),
+                                      GridMap(1, 7, frozenset({Cell(0, 3)}))],
+                             ids=["1x7", "7x1", "1x7 cut", "7x1 cut"])
+    def test_corridors(self, grid):
+        cells = [Cell(x, y) for y in range(grid.height) for x in range(grid.width) if grid.is_free(Cell(x, y))]
+        robots = cells[:3] + cells[-3:]
+        tasks = cells[-3:][::-1] + cells[:3][::-1]
+        m = build_cost_matrix(grid, robots, tasks)
+        assert m.costs == _bfs_matrix(grid, robots, tasks)
+
+    @pytest.mark.parametrize("grid", [GridMap(6, 5, frozenset()), WALLED_6x5], ids=["open", "walled"])
+    def test_corners_and_edge_rows(self, grid):
+        w, h = grid.width, grid.height
+        corners = [Cell(0, 0), Cell(w - 1, 0), Cell(0, h - 1), Cell(w - 1, h - 1)]
+        edge_rows = [Cell(2, 0), Cell(w - 2, 0), Cell(1, h - 1), Cell(3, h - 1)]
+        robots = corners + edge_rows
+        tasks = edge_rows[::-1] + corners[::-1]
+        m = build_cost_matrix(grid, robots, tasks)
+        assert m.costs == _bfs_matrix(grid, robots, tasks)
+        # Robots on their own tasks: the diagonal is zero.
+        m = build_cost_matrix(grid, robots, robots)
+        assert m.costs == _bfs_matrix(grid, robots, robots)
+        assert all(m.costs[i][i] == 0 for i in range(len(robots)))
+
+    def test_walled_off_task_gets_the_sentinel(self):
+        # (0, 0) is closed off by (1, 0) and (0, 1); the robot standing
+        # there reaches its own cell and its wavefront then dies out.
+        grid = GridMap(5, 4, frozenset({Cell(1, 0), Cell(0, 1)}))
+        robots = [Cell(4, 3), Cell(0, 0), Cell(2, 0)]
+        tasks = [Cell(0, 0), Cell(4, 0), Cell(0, 3)]
+        m = build_cost_matrix(grid, robots, tasks)
+        sentinel = unreachable_sentinel(grid)
+        assert m.costs == _bfs_matrix(grid, robots, tasks)
+        assert m.costs[0][0] == m.costs[2][0] == sentinel
+        assert m.costs[1] == (0, sentinel, sentinel)
+
+    def test_fleet_sized_dispatch(self):
+        # 32 robots and 32 tasks on the 4x4 tiled warehouse (96x84). One
+        # BFS per robot checks its whole row; the per-pair oracle checks
+        # the diagonal.
+        w, h = WAREHOUSE.width, WAREHOUSE.height
+        grid = GridMap(w * 4, h * 4, frozenset(
+            Cell(x + i * w, y + j * h) for i in range(4) for j in range(4) for x, y in WAREHOUSE.blocked))
+        cells = [Cell(x, y) for y in range(grid.height) for x in range(grid.width) if grid.is_free(Cell(x, y))]
+        rng = random.Random(28)
+        robots, tasks = rng.sample(cells, 32), rng.sample(cells, 32)
+        m = build_cost_matrix(grid, robots, tasks)
+        sentinel = unreachable_sentinel(grid)
+        for r, row in zip(robots, m.costs):
+            dist = bfs_distances(grid, r)
+            assert row == tuple(dist.get(t, sentinel) for t in tasks)
+        for i, (r, t) in enumerate(zip(robots, tasks)):
+            assert m.costs[i][i] == bfs_distance(grid, r, t)
+
+
 class TestHungarian:
     def test_diagonal_is_free(self):
         got = hungarian(CostMatrix.from_rows([[0, 9], [9, 0]]))
@@ -194,3 +267,17 @@ class TestHungarian:
         rows = [[1, 1, 2], [1, 1, 2], [2, 2, 1]]
         assert hungarian(CostMatrix.from_rows(rows)).mapping == (0, 1, 2)
         assert len(calls) == 1
+
+    def test_solve_on_tied_weights_is_the_lexicographic_optimum(self):
+        # Costs from {0, 1, 2} tie often; weighted as hungarian weights them,
+        # the solve alone must return the smallest optimal mapping.
+        rng = random.Random(28)
+        for n in range(1, 8):
+            for trial in range(12):
+                rows = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
+                if trial == 0:
+                    rows = [[1] * n for _ in range(n)]
+                weights = [[c * n ** n + j * n ** (n - 1 - i) for j, c in enumerate(row)]
+                           for i, row in enumerate(rows)]
+                want_map, _ = brute_force_assignment(rows)
+                assert tuple(_solve(weights)) == want_map, (n, rows)

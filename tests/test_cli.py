@@ -23,7 +23,7 @@ def failing_scenario_file(tmp_path):
     grid = builtin_scenario("warehouse").grid
     scenario = Scenario("failcase", grid, (RobotTask(1, Cell(1, 4), Cell(16, 9)),))
     path = tmp_path / "failcase.scen"
-    path.write_text(render_scenario(scenario))
+    path.write_text(render_scenario(scenario), encoding="utf-8")
     return str(path)
 
 
@@ -73,7 +73,7 @@ class TestExitCodes:
 
     def test_malformed_scenario_file_is_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scen"
-        bad.write_text("map 2 2\n..\n.x\n")
+        bad.write_text("map 2 2\n..\n.x\n", encoding="utf-8")
         assert main(["plan", str(bad), "--robot", "1"]) == 1
         assert "line 3" in capsys.readouterr().err
 
@@ -108,7 +108,7 @@ class TestSimulateOutput:
         grid = builtin_scenario("warehouse").grid
         tasks = (RobotTask(1, Cell(1, 4), Cell(16, 9)), RobotTask(2, Cell(2, 7), Cell(14, 19)))
         path = tmp_path / "onefails.scen"
-        path.write_text(render_scenario(Scenario("onefails", grid, tasks)))
+        path.write_text(render_scenario(Scenario("onefails", grid, tasks)), encoding="utf-8")
         assert main(["simulate", str(path), "--rate", "17/20"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert "robot 1: planning failed (leg 0)" in lines
@@ -160,14 +160,14 @@ class TestSimulateOutput:
         path.write_text("map 5 3\n.....\n.....\n.....\n"
                         "robot 1 start 0,1 goal 4,1\n"
                         "robot 11 start 2,0 goal 2,2\n"
-                        "robot 2 start 0,2 goal 4,2\n")
+                        "robot 2 start 0,2 goal 4,2\n", encoding="utf-8")
         assert main(["simulate", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[-3:] == ["..1..", "11+11", "22X22"]
 
     def test_trace_to_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert main(["simulate", "warehouse", "--trace", str(trace)]) == 0
-        lines = trace.read_text().splitlines()
+        lines = trace.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t,robot_id,x,y"
         # one row per robot per tick, plus the header
         assert len(lines) == 1 + 2 * 32
@@ -194,7 +194,7 @@ class TestReportCommands:
                      "--format", "table", "--out", str(out_file)])
         assert code == 0
         assert capsys.readouterr().out == ""
-        lines = out_file.read_text().splitlines()
+        lines = out_file.read_text(encoding="utf-8").splitlines()
         assert lines[0].split() == SWEEP_HEADER.split(",")
         assert len(lines) == 3
 
@@ -211,7 +211,7 @@ class TestReportCommands:
         # study must give up with a clear error instead of retrying forever.
         path = tmp_path / "corridor.scen"
         path.write_text("map 3 1\n...\n" + "".join(
-            f"robot {i + 1} start {i},0 via {i},0 goal {i},0\n" for i in range(3)))
+            f"robot {i + 1} start {i},0 via {i},0 goal {i},0\n" for i in range(3)), encoding="utf-8")
         assert main(["collisions", str(path), "--trials", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: trial 1: no collision-free task variation")
@@ -223,7 +223,7 @@ class TestReportCommands:
         # so its draw runs dry.
         path = tmp_path / "corridor.scen"
         path.write_text("map 3 1\n...\n" + "".join(
-            f"robot {i + 1} start {i},0 via {i},0 goal {i},0\n" for i in range(3)))
+            f"robot {i + 1} start {i},0 via {i},0 goal {i},0\n" for i in range(3)), encoding="utf-8")
         assert main(["collisions", str(path), "--trials", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -234,7 +234,7 @@ class TestReportCommands:
         # A wall splits the map and robot 1's goal lies beyond it.
         path = tmp_path / "split.scen"
         path.write_text("map 5 3\n..#..\n..#..\n..#..\n"
-                        "robot 1 start 0,0 goal 4,0\nrobot 2 start 0,2 goal 1,2\n")
+                        "robot 1 start 0,0 goal 4,0\nrobot 2 start 0,2 goal 1,2\n", encoding="utf-8")
         assert main(["collisions", str(path), "--trials", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -242,7 +242,7 @@ class TestReportCommands:
 
     def test_sweep_without_drawable_endpoints_is_one(self, isolated_pair_grid, tmp_path, capsys):
         path = tmp_path / "sparse.scen"
-        path.write_text(render_scenario(Scenario("sparse", isolated_pair_grid, ())))
+        path.write_text(render_scenario(Scenario("sparse", isolated_pair_grid, ())), encoding="utf-8")
         assert main(["sweep", str(path), "--cases", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: pair 0: ") and err.endswith(" in 1000 draws\n")
@@ -266,7 +266,7 @@ class TestAssign:
         path = tmp_path / "split.scen"
         path.write_text("map 5 3\n..#..\n..#..\n..#..\n"
                         "robot 1 start 0,0 goal 1,0\n"
-                        "robot 2 start 4,0 goal 3,0\n")
+                        "robot 2 start 4,0 goal 3,0\n", encoding="utf-8")
         assert main(["assign", str(path), "--tasks", "0,2;1,2"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -309,7 +309,7 @@ def _run_sequence(tmp_path, capsys):
                  ["assign", "warehouse", "--tasks", "21,19;14,19"]):
         code = main(argv)
         results.append((argv[0], code, *capsys.readouterr()))
-    return results, _without_wall_column(sweep_file.read_text())
+    return results, _without_wall_column(sweep_file.read_text(encoding="utf-8"))
 
 
 class TestParserReuse:
@@ -336,7 +336,7 @@ class TestParserReuse:
 
 
 def _readme_section(heading):
-    text = (Path(__file__).parents[1] / "README.md").read_text()
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     return text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 

@@ -656,6 +656,22 @@ class TestMultiLeg:
         out = plan_multi_leg(OPEN_5x5, task)
         assert out.skipped == 0 and out.edges == 8
 
+    @pytest.mark.parametrize("rate", [Fraction(0), Fraction(22, 25)], ids=["exact", "r22_25"])
+    def test_every_cell_is_the_maps_shared_cell(self, rate):
+        # The task's cells are objects of its own, so a path that began with
+        # task.start would hold a second Cell for (0, 0).
+        task = RobotTask(6, Cell(0, 0), Cell(2, 0), waypoints=(Cell(1, 0),))
+        out = plan_multi_leg(WAREHOUSE, task, PerforationSpec.from_rate(rate))
+        assert out.path == (Cell(0, 0), Cell(1, 0), Cell(2, 0))
+        w = WAREHOUSE.width + 2
+        assert all(cell is WAREHOUSE._cell((cell.y + 1) * w + cell.x + 1) for cell in out.path)
+        room = builtin_scenario("room")
+        for task in room.tasks:
+            out = plan_multi_leg(room.grid, task, PerforationSpec.from_rate(rate))
+            w = room.grid.width + 2
+            assert out.found and task.waypoints
+            assert all(cell is room.grid._cell((cell.y + 1) * w + cell.x + 1) for cell in out.path)
+
 
 class TestPlanOutcome:
     PATH = (Cell(0, 0), Cell(1, 0))
