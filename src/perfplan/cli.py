@@ -53,6 +53,13 @@ def _load_scenario(ref: str) -> Scenario:
     return load_scenario(path.read_text(encoding="utf-8"), name=path.stem)
 
 
+def _file_name(value: str) -> str:
+    # An empty name is no file: it is refused, not read as "no file given".
+    if not value:
+        raise argparse.ArgumentTypeError("empty file name")
+    return value
+
+
 def _make_spec(args) -> PerforationSpec:
     return PerforationSpec.from_rate(parse_rate(args.rate), _MODE_NAMES[args.mode], seed=args.seed)
 
@@ -85,7 +92,7 @@ def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     report = simulate(scenario, _make_spec(args))
     trace = None
-    if args.trace:
+    if args.trace is not None:
         lines = ["t,robot_id,x,y"]
         for t in range(report.makespan + 1):
             lines += [f"{t},{tl.robot_id},{tl.positions[t]}" for tl in report.timelines]
@@ -124,7 +131,7 @@ def _cmd_simulate(args) -> int:
 
 def _emit(rows, args) -> int:
     text = emit_reports(rows, format=args.format)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -176,7 +183,7 @@ def _add_report_flags(sub, default_rates: str):
     sub.add_argument("scenario")
     sub.add_argument("--rates", help=f"comma-separated rates (default: {default_rates})")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--out", help="write the report here instead of stdout")
+    sub.add_argument("--out", type=_file_name, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("csv", "table"), default="csv")
 
 
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="plan all robots and report collisions")
     p.add_argument("scenario")
     _add_spec_flags(p)
-    p.add_argument("--trace", metavar="FILE",
+    p.add_argument("--trace", metavar="FILE", type=_file_name,
                    help="write per-tick positions as CSV ('-' for stdout)")
     p.set_defaults(func=_cmd_simulate)
 

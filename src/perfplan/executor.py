@@ -7,15 +7,19 @@ or by exchanging adjacent cells across a tick boundary (edge/swap); both kinds
 are reported because a head-on meeting on a grid is always one of the two.
 
 _tick_events is the one rule that builds a tick's events, over any
-hashable cell keys: set operations over the tick's keys and moves flag a
-collision, and only then are robots indexed by key and by move, O(R) per
-tick, and the events' keys decoded into cells. On a small group (by robot
-count) _events runs it only on the ticks that the pair scan flags by
-comparing every robot pair tick by tick, O(R^2*T), which costs less there.
-On a large group it runs it on every tick, over the robots still moving: a
-robot that has parked enters a key -> robots index once, which the rule
-checks the moving robots against, and the events of two parked robots on
-one cell are appended once, for every tick to the horizon.
+hashable cell keys: set operations over the tick's keys flag a collision,
+and only then are robots indexed, O(R) per tick, and the events' keys
+decoded into cells. It indexes only the robots that can be in an event:
+for vertex events, the robots on a key that more than one robot holds;
+for swaps, the robots that move between two keys found in both the
+tick's and the previous tick's row, since each swap's two cells are in
+both. On a small group (by robot count) _events runs it only on the
+ticks that the pair scan flags by comparing every robot pair tick by
+tick, O(R^2*T), which costs less there. On a large group it runs it on
+every tick, over the robots still moving: a robot that has parked enters
+a key -> robots index once, which the rule checks the moving robots
+against, and the events of two parked robots on one cell are appended
+once, for every tick to the horizon.
 
 replay checks and replays plans already in hand; simulate plans every task
 and hands its plans to replay. replay turns each found path into the grid's
@@ -29,6 +33,7 @@ the event rule on its positions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress, count, islice, repeat
 from operator import itemgetter, ne, sub
@@ -225,14 +230,22 @@ def _tick_events(t, ids, prev, cur, events, cell, parked=None) -> None:
     (`prev`, None at t = 0) and at t (`cur`), in the order of `ids`, a
     decoder `cell` from a key to the events' cell, and a key -> robot ids
     index of the robots `parked` there since before t, if any. `ids` may
-    come in any order; a pair is written lower id first. Set operations
-    flag a collision; only then are robots indexed by key, or the robots
-    making a move whose reverse is made indexed by move."""
+    come in any order; a pair is written lower id first.
+
+    Set operations flag a collision, and only then are robots indexed, and
+    only those that can be in an event. A vertex event needs two robots on
+    one key, so the vertex index holds only the robots on a key seen more
+    than once. A swap a: p -> c, b: c -> p puts both p and c in `prev` and
+    in `cur`, so the swap index holds only the robots that move between
+    two keys of both rows, and pairs them only if they make two distinct
+    moves. Neither filter drops a robot that is in an event, and the
+    events keep their order."""
     cells = set(cur)
     # Fewer distinct keys than robots: two robots share a cell.
     if len(cells) < len(ids):
+        shared = {key for key, n in Counter(cur).items() if n > 1}
         at_cell: dict = {}
-        for rid, key in zip(ids, cur):
+        for rid, key in compress(zip(ids, cur), map(shared.__contains__, cur)):
             at_cell.setdefault(key, []).append(rid)
         for key, here in at_cell.items():
             for a, b in combinations(here, 2):
@@ -242,15 +255,15 @@ def _tick_events(t, ids, prev, cur, events, cell, parked=None) -> None:
         for b, key in compress(zip(ids, cur), map(held.__contains__, cur)):
             for a in parked[key]:
                 events.append(CollisionEvent(t, VERTEX, (a, b) if a < b else (b, a), (cell(key),)))
-    # A swap is a move prev -> cur whose reverse cur -> prev is also made,
-    # so it needs a cell that is in both rows; a stationary robot's
-    # (cell, cell) is no move.
+    # A swap needs a key in both rows; a stationary robot's (p, p) is no
+    # move.
     if prev is not None and not cells.isdisjoint(prev):
-        moves = {(p, c) for p, c in zip(prev, cur) if p != c}
-        if swaps := moves.intersection(zip(cur, prev)):
-            movers: dict = {}
-            for rid, move in compress(zip(ids, zip(prev, cur)), map(swaps.__contains__, zip(prev, cur))):
-                movers.setdefault(move, []).append(rid)
+        common = cells.intersection(prev)
+        movers: dict = {}
+        for rid, p, c in zip(ids, prev, cur):
+            if p != c and p in common and c in common:
+                movers.setdefault((p, c), []).append(rid)
+        if len(movers) > 1:
             for (p, c), forward in movers.items():
                 for b in movers.get((c, p), ()):
                     for a in forward:

@@ -198,6 +198,22 @@ class TestReportCommands:
         assert lines[0].split() == SWEEP_HEADER.split(",")
         assert len(lines) == 3
 
+    # An empty file name is refused before any work, not taken for "no
+    # file": no report on stdout and no file written.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "warehouse", "--trace", ""],
+        ["sweep", "room", "--out", ""],
+        ["collisions", "room", "--out="],
+    ])
+    def test_empty_file_name_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        flag = argv[2].rstrip("=")
+        assert err == f"usage error: argument {flag}: empty file name\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_collisions_csv(self, capsys):
         code = main(["collisions", "warehouse", "--rates", "0", "--trials", "2"])
         assert code == 0

@@ -225,6 +225,70 @@ class TestDetectCollisions:
             with pytest.raises(ValueError, match="duplicate robot id 1$"):
                 detect_collisions(group + self.parked(2, group[0].horizon))
 
+    # _tick_events indexes only the robots that can be in an event: the
+    # robots on a key held more than once, and the robots moving between two
+    # keys of both the tick's and the previous tick's row. These inputs put
+    # many robots through each filter, on both paths.
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_rotation_around_a_block_has_no_swap(self, monkeypatch, threshold):
+        # Four robots circle a 2x2 block: every cell is in both rows and
+        # every robot moves between two of them, but no move is reversed.
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        ring = [Cell(0, 0), Cell(1, 0), Cell(1, 1), Cell(0, 1)]
+        group = [Timeline(rid, tuple(ring[(rid + t) % 4] for t in range(6))) for rid in range(1, 5)]
+        assert detect_collisions(group) == ()
+        assert scan_collisions(group) == []
+
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_chain_of_followers_has_no_event(self, monkeypatch, threshold):
+        # Seven robots in a row each enter the cell the one ahead just left,
+        # then park one behind the other.
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        group = [path_to_timeline(rid, [Cell(x, 2) for x in range(rid, rid + 4)], 5) for rid in range(1, 8)]
+        assert detect_collisions(group) == ()
+        assert scan_collisions(group) == []
+
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_swap_with_a_follower_into_a_swapped_cell(self, monkeypatch, threshold):
+        # Robots 4 and 2 swap (1,0) and (2,0) at t = 1 while robot 3 follows
+        # robot 2 into (2,0), where robot 4 arrives too.
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        group = [
+            Timeline(4, (Cell(1, 0), Cell(2, 0), Cell(2, 1))),
+            Timeline(2, (Cell(2, 0), Cell(1, 0), Cell(0, 0))),
+            Timeline(3, (Cell(3, 0), Cell(2, 0), Cell(2, 0))),
+            Timeline(1, (Cell(5, 5), Cell(5, 4), Cell(5, 3))),
+        ]
+        events = as_tuples(detect_collisions(group))
+        assert events == [
+            (1, EDGE, (2, 4), (Cell(2, 0), Cell(1, 0))),
+            (1, VERTEX, (3, 4), (Cell(2, 0),)),
+        ]
+        assert events == scan_collisions(group)
+
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_two_shared_keys_one_held_by_three_robots(self, monkeypatch, threshold):
+        # At t = 1 robots 5, 2 and 7 meet on (2,2) and robots 6 and 3 on
+        # (6,2); robots 1 and 4 stay apart.
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        group = [
+            Timeline(5, (Cell(1, 2), Cell(2, 2))),
+            Timeline(6, (Cell(7, 2), Cell(6, 2))),
+            Timeline(1, (Cell(0, 0), Cell(0, 1))),
+            Timeline(2, (Cell(2, 1), Cell(2, 2))),
+            Timeline(3, (Cell(5, 2), Cell(6, 2))),
+            Timeline(7, (Cell(3, 2), Cell(2, 2))),
+            Timeline(4, (Cell(9, 9), Cell(9, 9))),
+        ]
+        events = as_tuples(detect_collisions(group))
+        assert events == [
+            (1, VERTEX, (2, 5), (Cell(2, 2),)),
+            (1, VERTEX, (2, 7), (Cell(2, 2),)),
+            (1, VERTEX, (3, 6), (Cell(6, 2),)),
+            (1, VERTEX, (5, 7), (Cell(2, 2),)),
+        ]
+        assert events == scan_collisions(group)
+
     # Groups of more than _PER_TICK_ROBOTS index each robot once it has
     # parked. `walkers` fills a group with robots that move on every tick,
     # each along its own row, so no two of them ever meet.
