@@ -75,18 +75,18 @@ def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
     tasks = [Cell(*c) for c in task_cells]
     if not robots or len(robots) != len(tasks):
         raise ValueError("need equal, non-empty robot and task cell lists")
-    for cell in robots + tasks:
-        if not grid.is_free(cell):
-            raise ValueError(f"cell {cell} is blocked or out of range")
+    at = [grid._free_index(c) for c in robots + tasks]
+    if 0 in at:
+        raise ValueError(f"cell {(robots + tasks)[at.index(0)]} is blocked or out of range")
     sentinel = unreachable_sentinel(grid)
     w = grid.width + 2
     up = w + 1
     free = int(grid._mask[::-1].translate(_BIT_DIGITS), 2)
-    task_at = [(t.y + 1) * w + t.x + 1 for t in tasks]
+    task_at = at[len(robots):]
     all_targets = sum(1 << i for i in set(task_at))
     rows = []
-    for r in robots:
-        front = 1 << (r.y + 1) * w + r.x + 1
+    for i in at[:len(robots)]:
+        front = 1 << i
         avail = free ^ front
         targets = all_targets
         found = {}  # task bit index -> distance

@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .assignment import build_cost_matrix, hungarian, unreachable_sentinel
 from .executor import simulate
-from .gridworld import (BUILTIN_NAMES, Scenario, ScenarioError, _parse_cell, _render_grid, builtin_scenario,
-                        load_scenario)
+from .gridworld import BUILTIN_NAMES, Scenario, _parse_cell, _render_grid, builtin_scenario, load_scenario
 from .harness import (
     DEFAULT_CASES,
     DEFAULT_SEED,
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

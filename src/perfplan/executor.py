@@ -22,42 +22,28 @@ against, and the events of two parked robots on one cell are appended
 once, for every tick to the horizon.
 
 replay checks and replays plans already in hand; simulate plans every task
-and hands its plans to replay. replay turns each found path into the grid's
-padded mask indices once, in the one pass that checks them free, and those
-ints serve two more passes: its step check (_first_bad_step, by index
-difference) and detection, which runs the event rule on the index columns
-and decodes only the events' cells into the grid's shared Cells. A Timeline
-built directly judges its steps by manhattan, and detect_collisions runs
-the event rule on its positions.
+and hands its plans to replay. replay has the grid turn each found path
+into its padded mask indices once (GridMap._free_indices, the one pass
+that checks them free), and those ints serve two more passes: the grid's
+step check (GridMap._first_bad_step, by index difference) and detection,
+which runs the event rule on the index columns and decodes only the
+events' cells into the grid's shared Cells. replay computes no index
+itself. A Timeline built directly judges its steps by manhattan, and
+detect_collisions runs the event rule on its positions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, count, islice, repeat
-from operator import itemgetter, ne, sub
+from itertools import combinations, compress, count, repeat
+from operator import itemgetter, ne
 
 from .gridworld import Scenario
 from .planner import NO_PERFORATION, PerforationSpec, manhattan, plan_multi_leg
 
 VERTEX = "vertex"
 EDGE = "edge"
-
-
-def _first_bad_step(keys, stride) -> int:
-    """The first tick t at which keys[t] - keys[t - 1] is not 0, +-1 or
-    +-stride, or 0 if there is none.
-
-    A cell's key is `y * stride + x` plus a constant, with every x inside a
-    span of at most stride - 2 columns: a step then differs by 0, +-1 or
-    +-stride exactly when it waits or moves to a 4-neighbor. The unused
-    column between rows makes the row-wrap step differ by more than 1.
-    """
-    steps = {0, 1, -1, stride, -stride}
-    if steps.issuperset(map(sub, islice(keys, 1, None), keys)):
-        return 0
-    return next(t for t, step in enumerate(map(sub, islice(keys, 1, None), keys), 1) if step not in steps)
 
 
 @dataclass(frozen=True)
@@ -290,11 +276,7 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
     """
     found = {rid: out for rid, out in outcomes.items() if out.found}
     grid = scenario.grid
-    w = grid.width + 2
-    # The mask index of each row's first cell, so that an index takes one
-    # lookup and one addition.
-    rows = list(range(w + 1, (grid.height + 1) * w, w))
-    keyed = {rid: _mask_indices(grid, rows, rid, out.path) for rid, out in found.items()}
+    keyed = {rid: _mask_indices(grid, rid, out.path) for rid, out in found.items()}
     failed = tuple(rid for rid, out in outcomes.items() if not out.found)
     horizon = max((out.edges for out in found.values()), default=0)
     timelines, cols = [], []
@@ -302,7 +284,7 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
         path, keys = out.path, keyed[rid]
         if not path:
             raise ValueError("cannot build a timeline from an empty path")
-        if t := _first_bad_step(keys, w):
+        if t := grid._first_bad_step(keys):
             raise ValueError(f"non-adjacent step {path[t - 1]} -> {path[t]} at tick {t}")
         pad = horizon - len(keys) + 1
         keys.extend(repeat(keys[-1], pad))
@@ -323,34 +305,25 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
     )
 
 
-def _mask_indices(grid, rows, rid, path) -> list:
-    """`path` as padded mask indices of `grid`, `(y + 1) * (width + 2) + x + 1`,
-    or RuntimeError naming the first cell that is blocked, off the grid or
-    not of int coordinates. `rows[y]` is the index of cell (0, y).
+def _mask_indices(grid, rid, path) -> list:
+    """`path` as the padded mask indices of `grid`, or RuntimeError naming
+    the first cell that is blocked, off the grid or not of int coordinates.
 
     One pass over the whole path, which fails if it drops a cell or raises;
     only then are the cells tested one at a time, to name the first bad one.
     """
     try:
-        keys = _free_indices(grid, rows, path)
+        keys = grid._free_indices(path)
     except (TypeError, ValueError):
         keys = None
     if keys is None or len(keys) < len(path):
         for cell in path:
-            # A coordinate that is no int fails the range test or an index
-            # with TypeError; a cell that is no pair raises ValueError.
+            # A cell that is no pair: a sequence of another length raises
+            # ValueError here, anything not iterable is reported as bad.
             try:
-                if _free_indices(grid, rows, (cell,)):
-                    continue
+                free = grid.is_free(cell)
             except TypeError:
-                pass
-            raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
+                free = False
+            if not free:
+                raise RuntimeError(f"robot {rid}: planned path crosses blocked cell {cell}")
     return keys
-
-
-def _free_indices(grid, rows, cells) -> list:
-    """The padded mask index of each of `cells` that is on the grid and free."""
-    width, height, mask = grid.width, grid.height, grid._mask
-    # The range test stays: the padded index of a cell two or more steps
-    # off the grid lands on a cell of another row.
-    return [k for x, y in cells if 0 <= x < width and 0 <= y < height and mask[k := rows[y] + x]]

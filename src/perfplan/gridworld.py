@@ -23,7 +23,8 @@ import re
 import string
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress
+from itertools import compress, islice
+from operator import sub
 from typing import Iterable, NamedTuple
 
 
@@ -58,7 +59,8 @@ class GridMap:
     occupancy that the cell queries, the component flood and the search read:
     `bytes` over the grid padded by a one-cell border, with cell (x, y) at
     `(y + 1) * (width + 2) + x + 1`, 1 where the cell is free and 0 where it
-    is blocked or on the border.
+    is blocked or on the border. Only the map turns cells into these indices
+    (`_free_index`, `_free_indices`, by `_rows`, each row's first index).
 
     `_cells` (not a field either) has one slot per mask index, `None` until
     `_cell` first makes that index's `Cell`; every later request gets the
@@ -80,12 +82,14 @@ class GridMap:
         if len(cells) >= self.width * self.height:
             raise ValueError("grid has no free cell")
         w = self.width + 2
+        rows = list(range(w + 1, (self.height + 1) * w, w))
         mask = bytearray(w * (self.height + 2))
-        for y in range(1, self.height + 1):
-            mask[y * w + 1:y * w + w - 1] = b"\x01" * self.width
+        for i in rows:
+            mask[i:i + self.width] = b"\x01" * self.width
         for x, y in cells:
-            mask[(y + 1) * w + x + 1] = 0
+            mask[rows[y] + x] = 0
         object.__setattr__(self, "_mask", bytes(mask))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cells", [None] * len(mask))
 
     def _cell(self, i: int) -> Cell:
@@ -101,8 +105,30 @@ class GridMap:
         return isinstance(x, int) and isinstance(y, int) and 0 <= x < self.width and 0 <= y < self.height
 
     def is_free(self, cell: Cell) -> bool:
+        return self._free_index(cell) != 0
+
+    def _free_index(self, cell: Cell) -> int:
+        """The padded mask index of `cell` if it is on the grid and free, else
+        0, a border index. The range test comes first: the padded index of a
+        cell two or more columns off the grid lands on a cell of another row."""
         x, y = cell
-        return self.in_bounds(cell) and self._mask[(y + 1) * (self.width + 2) + x + 1] == 1
+        return i if self.in_bounds(cell) and self._mask[i := self._rows[y] + x] else 0
+
+    def _free_indices(self, cells) -> list:
+        """`_free_index` of each of `cells` that is on the grid and free, in
+        one pass; TypeError on a coordinate that is no int yet in range."""
+        width, height, mask, rows = self.width, self.height, self._mask, self._rows
+        return [i for x, y in cells if 0 <= x < width and 0 <= y < height and mask[i := rows[y] + x]]
+
+    def _first_bad_step(self, indices) -> int:
+        """The first tick t at which padded indices[t] - indices[t - 1] is
+        not 0, +-1 or +-(width + 2), a wait or a move to a 4-neighbor, else
+        0. The border column makes the row-wrap step differ by 3."""
+        w = self.width + 2
+        steps = {0, 1, -1, w, -w}
+        if steps.issuperset(map(sub, islice(indices, 1, None), indices)):
+            return 0
+        return next(t for t, step in enumerate(map(sub, islice(indices, 1, None), indices), 1) if step not in steps)
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         """Free 4-neighbors of an in-bounds cell, in row-major order."""
@@ -110,7 +136,7 @@ class GridMap:
             raise ValueError(f"cell {cell} out of range for {self.width}x{self.height} grid")
         x, y = cell
         w = self.width + 2
-        i = (y + 1) * w + x + 1
+        i = self._rows[y] + x
         mask = self._mask
         return [self._cell(k) for k in (i - w, i - 1, i + 1, i + w) if mask[k]]
 
@@ -148,13 +174,11 @@ def _check_task(grid: GridMap, task: RobotTask, seen_ids: set) -> None:
     if rid in seen_ids:
         raise ValueError(f"duplicate robot id {rid}")
     seen_ids.add(rid)
-    w, mask = grid.width + 2, grid._mask
     for label, cell in [("start", task.start), ("goal", task.goal)] + [
             ("waypoint", c) for c in task.waypoints]:
         if not grid.in_bounds(cell):
             raise ValueError(f"robot {rid} {label} {cell} is out of range")
-        x, y = cell
-        if not mask[(y + 1) * w + x + 1]:
+        if not grid.is_free(cell):
             raise ValueError(f"robot {rid} {label} on blocked cell {cell}")
     if task.start == task.goal and not task.waypoints:
         raise ValueError(f"robot {rid} start equals goal without waypoints")
@@ -277,9 +301,7 @@ _MAP_CHARS = bytes.maketrans(b"\x00\x01", (_BLOCKED_CHAR + _FREE_CHAR).encode())
 
 def _render_grid(grid: GridMap, marks=None) -> str:
     """Map rows joined by newlines: `marks[cell]` where given (on-grid cells only), else '#'/'.'."""
-    w = grid.width + 2
-    rows = [list(grid._mask[y * w + 1:y * w + w - 1].translate(_MAP_CHARS).decode())
-            for y in range(1, grid.height + 1)]
+    rows = [list(grid._mask[i:i + grid.width].translate(_MAP_CHARS).decode()) for i in grid._rows]
     for (x, y), mark in (marks or {}).items():
         rows[y][x] = mark
     return "\n".join(map("".join, rows))

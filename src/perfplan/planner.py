@@ -180,21 +180,19 @@ def _schedule(spec: PerforationSpec, extent: int | None, n: int):
 def _astar(grid: GridMap, start: Cell, goal: Cell,
            spec: PerforationSpec, extent: int | None) -> PlanOutcome:
     # Cells are indices into the grid's padded occupancy mask; the border
-    # is 0, so a neighbor index never needs a bounds check. An endpoint's
-    # index is computed only once `in_bounds` has passed it: an off-grid
-    # index can wrap onto a free cell of another row.
-    (x0, y0), (x1, y1) = start, goal
-    w = grid.width + 2
-    mask = grid._mask
-    if not (grid.in_bounds(start) and mask[src := (y0 + 1) * w + x0 + 1]):
+    # is 0, so a neighbor index never needs a bounds check. The grid gives
+    # each endpoint's index, or 0 when it is blocked or off the grid.
+    src, dst = grid._free_index(start), grid._free_index(goal)
+    if not src:
         raise ValueError(f"start {Cell(*start)} is blocked or out of range")
-    if not (grid.in_bounds(goal) and mask[dst := (y1 + 1) * w + x1 + 1]):
+    if not dst:
         raise ValueError(f"goal {Cell(*goal)} is blocked or out of range")
 
+    w = grid.width + 2
     # Closing a cell zeroes its byte: one lookup tests "free and not closed".
-    open_ = bytearray(mask)
+    open_ = bytearray(grid._mask)
     n = len(open_)
-    gx, gy = x1 + 1, y1 + 1
+    gy, gx = divmod(dst, w)
     # Every iteration but the last closes a cell, so no index reaches n.
     runs_in_full = _schedule(spec, extent, n).__next__
     # The open list has two levels. A step changes h by exactly 1, so a
@@ -221,7 +219,7 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     cur = src
     # x, y (padded) and h are cur's: decoded for a cell taken from `now`,
     # moved along with a cell taken directly.
-    x, y = x0 + 1, y0 + 1
+    y, x = divmod(cur, w)
     h = abs(x - gx) + abs(y - gy)
 
     while True:

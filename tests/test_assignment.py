@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -80,6 +81,20 @@ class TestBuildCostMatrix:
     def test_rejects_non_integer_cells(self):
         with pytest.raises(ValueError, match="out of range"):
             build_cost_matrix(OPEN_5x5, [Cell(0.5, 0)], [Cell(4, 4)])
+
+    # One blocked cell on a 5x3 map. (7, 0) is three columns off the grid,
+    # and its padded mask index wraps onto the free cell (0, 1).
+    @pytest.mark.parametrize("bad", [Cell(2, 1), Cell(5, 0), Cell(7, 0), Cell(0.5, 0)],
+                             ids=["blocked", "one-column-off", "three-columns-off", "non-integer"])
+    @pytest.mark.parametrize("side", ["robot", "task"])
+    def test_refuses_a_bad_cell_on_either_side(self, side, bad):
+        grid = GridMap(5, 3, frozenset({Cell(2, 1)}))
+        if bad == Cell(7, 0):
+            assert grid._mask[(bad.y + 1) * (grid.width + 2) + bad.x + 1] == 1
+        good = [Cell(0, 0), Cell(4, 2)]
+        robots, tasks = ([good[0], bad], good) if side == "robot" else (good, [good[1], bad])
+        with pytest.raises(ValueError, match=rf"^cell {re.escape(str(bad))} is blocked or out of range$"):
+            build_cost_matrix(grid, robots, tasks)
 
     def test_row_ends_do_not_touch(self):
         # #..

@@ -181,6 +181,25 @@ def test_cell_queries_match_naive_oracles(grid):
     assert list(component_labels(grid).items()) == list(flood_labels(grid).items())
 
 
+@SETTINGS
+@given(grids())
+def test_free_index_is_the_padded_index_of_free_cells_only(grid):
+    # A box two cells beyond each edge: the padded index of a cell two
+    # columns off the grid lands on a cell of another row.
+    w = grid.width + 2
+    box = [Cell(x, y) for y in range(-2, grid.height + 2) for x in range(-2, grid.width + 2)]
+    free_cells = set(naive_free_cells(grid))
+    want = []
+    for cell in box:
+        free = cell in free_cells
+        index = grid._free_index(cell)
+        assert (index != 0) == free
+        if free:
+            assert index == (cell.y + 1) * w + cell.x + 1
+            want.append(index)
+    assert grid._free_indices(box) == want
+
+
 @st.composite
 def grid_queries(draw):
     """A grid of up to 8x8 with two free cells on it (equal or not, joined or not)."""
