@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gridworld import Cell, GridMap
+from .gridworld import GridMap, _as_cell
 
 # Mask bytes 0/1 as the digits of a base-2 int: see build_cost_matrix.
 # Base-2 int() is exempt from the interpreter's max-str-digits limit.
@@ -71,8 +71,8 @@ def build_cost_matrix(grid: GridMap, robot_cells, task_cells) -> CostMatrix:
     robot's search stops once it has reached all its task cells or its
     wavefront dies out. BFS distances equal exact A*'s edge counts.
     """
-    robots = [Cell(*c) for c in robot_cells]
-    tasks = [Cell(*c) for c in task_cells]
+    robots = list(map(_as_cell, robot_cells))
+    tasks = list(map(_as_cell, task_cells))
     if not robots or len(robots) != len(tasks):
         raise ValueError("need equal, non-empty robot and task cell lists")
     at = [grid._free_index(c) for c in robots + tasks]

@@ -37,6 +37,16 @@ class Cell(NamedTuple):
         return f"{self.x},{self.y}"
 
 
+def _as_cell(value) -> Cell:
+    """`value`, an x, y pair, as a `Cell`; ValueError naming `value` when it
+    is no pair (another length, or not iterable). Range and type of the
+    coordinates are `GridMap.in_bounds`'s to judge."""
+    try:
+        return Cell(*value)
+    except TypeError:
+        raise ValueError(f"cell {value!r} is not an x,y pair") from None
+
+
 BUILTIN_NAMES = ("warehouse", "room")
 
 _FREE_CHAR = "."
@@ -74,7 +84,7 @@ class GridMap:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
-        cells = frozenset(Cell(x, y) for x, y in self.blocked)
+        cells = frozenset(map(_as_cell, self.blocked))
         object.__setattr__(self, "blocked", cells)
         for cell in cells:
             if not self.in_bounds(cell):
@@ -156,9 +166,9 @@ class RobotTask:
     waypoints: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "start", Cell(*self.start))
-        object.__setattr__(self, "goal", Cell(*self.goal))
-        object.__setattr__(self, "waypoints", tuple(Cell(*w) for w in self.waypoints))
+        object.__setattr__(self, "start", _as_cell(self.start))
+        object.__setattr__(self, "goal", _as_cell(self.goal))
+        object.__setattr__(self, "waypoints", tuple(map(_as_cell, self.waypoints)))
 
     def legs(self) -> list[tuple[Cell, Cell]]:
         """Consecutive (from, to) pairs: start -> waypoints... -> goal."""

@@ -25,6 +25,17 @@ decoded only after a heap pop. Pop order, and with it every path and
 counter, is that of a search with one heap over (f, h, y, x). A found
 path is decoded in one walk of the parent links, which end at the start's
 parent, the border index 0.
+
+A leg whose exact search walked straight to its goal, popping only the
+cells of its path (`expansions == manhattan + 1`), needs no perforated
+search: each of its iterations moved at once onto its first open neighbor
+toward the goal, in the order up, left, right, down, and a perforated
+iteration picks that same neighbor, with the same cells closed. So at every
+rate and in every mode that leg's path is the exact path, and the schedule
+alone decides its counters: of its `e` edges' iterations, the perforated
+slots among the first `e` are `skipped`, the rest plus the goal pop are
+`expansions` (plus the extent, `e + 1`, in truncation mode).
+`_straight_plan` derives such a plan from the exact one.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, cycle, repeat
+from itertools import count, cycle, islice, repeat
 
 from .gridworld import Cell, GridMap, RobotTask
 
@@ -365,3 +376,29 @@ def plan_multi_leg(grid: GridMap, task: RobotTask,
             return PlanOutcome(NOT_FOUND, (), expansions, skipped, failed_leg=leg_index)
         path.extend(outcome.path[1:] if path else outcome.path)
     return PlanOutcome(FOUND, tuple(path), expansions, skipped)
+
+
+def _straight_plan(task: RobotTask, exact: PlanOutcome, spec: PerforationSpec) -> PlanOutcome | None:
+    """`plan_multi_leg(grid, task, spec)`, derived from `exact`, the task's
+    exact plan on that grid, without a search; None when it cannot be.
+
+    Rate 0 gives `exact`. Otherwise the plan is derived only when every leg
+    of `exact` was straight (the module docstring says why its path is then
+    the exact path). A found plan is straight exactly when its expansions
+    sum to the legs' Manhattan distances plus one each: a found leg pops
+    every cell of its path, which has at least that many. Each leg's
+    counters are read from its own schedule, and the plan shares
+    `exact.path`.
+    """
+    if spec.skip == 0:
+        return exact
+    edges = [manhattan(src, dst) for src, dst in task.legs()]
+    if not exact.found or exact.skipped or exact.expansions != sum(edges) + len(edges):
+        return None
+    expansions = skipped = 0
+    for e in edges:
+        extent = e + 1 if spec.mode == TRUNCATION else None
+        perforated = e - sum(islice(_schedule(spec, extent, e), e))
+        expansions += e + 1 - perforated + (extent or 0)
+        skipped += perforated
+    return PlanOutcome(FOUND, exact.path, expansions, skipped)

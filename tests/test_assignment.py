@@ -96,6 +96,13 @@ class TestBuildCostMatrix:
         with pytest.raises(ValueError, match=rf"^cell {re.escape(str(bad))} is blocked or out of range$"):
             build_cost_matrix(grid, robots, tasks)
 
+    @pytest.mark.parametrize("bad", [(0, 0, 0), (0,), 7], ids=["3-tuple", "1-tuple", "not-iterable"])
+    @pytest.mark.parametrize("side", ["robot", "task"])
+    def test_refuses_a_cell_that_is_no_pair(self, side, bad):
+        robots, tasks = ([bad], [(1, 0)]) if side == "robot" else ([(0, 0)], [bad])
+        with pytest.raises(ValueError, match=rf"^cell {re.escape(repr(bad))} is not an x,y pair$"):
+            build_cost_matrix(OPEN_5x5, robots, tasks)
+
     def test_row_ends_do_not_touch(self):
         # #..
         # .##   (2,0) and (0,1) are adjacent bytes of an unpadded mask.

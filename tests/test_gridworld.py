@@ -1,6 +1,7 @@
 """Grid model, scenario file parsing, and seeded endpoint sampling."""
 
 import random
+import re
 import time
 
 import pytest
@@ -126,6 +127,19 @@ class TestRobotTask:
         task = RobotTask(1, (0, 0), (1, 1), waypoints=((0, 1),))
         assert task.start == Cell(0, 0)
         assert isinstance(task.waypoints[0], Cell)
+
+    # A cell that is no x,y pair is refused by name, wherever it sits.
+    @pytest.mark.parametrize("bad", [(0, 0, 0), (0,), 7], ids=["3-tuple", "1-tuple", "not-iterable"])
+    @pytest.mark.parametrize("where", ["start", "goal", "waypoint"])
+    def test_refuses_a_cell_that_is_no_pair(self, where, bad):
+        cells = {"start": (0, 0), "goal": (1, 1), "waypoint": (0, 1), where: bad}
+        with pytest.raises(ValueError, match=rf"^cell {re.escape(repr(bad))} is not an x,y pair$"):
+            RobotTask(1, cells["start"], cells["goal"], waypoints=(cells["waypoint"],))
+
+    @pytest.mark.parametrize("bad", [(0, 0, 0), (0,), 7], ids=["3-tuple", "1-tuple", "not-iterable"])
+    def test_grid_refuses_a_blocked_cell_that_is_no_pair(self, bad):
+        with pytest.raises(ValueError, match=rf"^cell {re.escape(repr(bad))} is not an x,y pair$"):
+            GridMap(width=3, height=3, blocked=frozenset({bad}))
 
 
 class TestScenarioValidation:

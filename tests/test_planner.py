@@ -673,6 +673,58 @@ class TestMultiLeg:
             assert all(cell is room.grid._cell((cell.y + 1) * w + cell.x + 1) for cell in out.path)
 
 
+# (0, 0) -> (2, 2) on this 3x3 map: the first step toward the goal, right,
+# dead-ends at (1, 0), so the exact search pops (0, 1) off its heap and
+# takes an optimal path that it did not walk straight.
+#   ..#
+#   .#.
+#   ...
+POCKET_3x3 = GridMap(width=3, height=3, blocked=frozenset({Cell(2, 0), Cell(1, 1)}))
+
+
+class TestStraightPlan:
+    HALF = {mode: PerforationSpec(mode, 1, 2) for mode in MODES}
+
+    @pytest.mark.parametrize("mode, counters", [(MODULO, (3, 2)), (RANDOM, (2, 3)), (TRUNCATION, (9, 1))])
+    def test_counters_come_from_the_schedule(self, mode, counters):
+        # Four edges along a row. Modulo 1/2 perforates iterations 1 and 3,
+        # random at seed 0 three of the four; truncation's extent is the
+        # exact search's 5 expansions, of which the last 2 are dropped, so
+        # iteration 3 is perforated and the extent is added.
+        task = RobotTask(1, Cell(0, 0), Cell(4, 0))
+        exact = plan_multi_leg(OPEN_5x5, task)
+        assert (exact.expansions, exact.skipped) == (5, 0)
+        out = planner._straight_plan(task, exact, self.HALF[mode])
+        assert (out.expansions, out.skipped) == counters
+        assert out == plan_multi_leg(OPEN_5x5, task, self.HALF[mode])
+        assert out.path is exact.path
+
+    @pytest.mark.parametrize("mode, counters", [(MODULO, (4, 1)), (TRUNCATION, (9, 1))])
+    def test_a_waypoint_on_the_start_is_a_leg_of_no_edge(self, mode, counters):
+        # The first leg is the goal pop alone (plus its extent of 1 in
+        # truncation mode); the second, of three edges, perforates one.
+        task = RobotTask(1, Cell(0, 0), Cell(3, 0), waypoints=(Cell(0, 0),))
+        exact = plan_multi_leg(OPEN_5x5, task)
+        out = planner._straight_plan(task, exact, self.HALF[mode])
+        assert (out.expansions, out.skipped) == counters
+        assert out == plan_multi_leg(OPEN_5x5, task, self.HALF[mode])
+
+    @pytest.mark.parametrize("grid, task", [
+        (POCKET_3x3, RobotTask(1, Cell(0, 0), Cell(2, 2))),
+        (SPLIT_5x5, RobotTask(1, Cell(0, 0), Cell(4, 0))),
+        (GridMap(5, 3, frozenset({Cell(2, 0), Cell(2, 1)})), RobotTask(1, Cell(0, 0), Cell(4, 0))),
+        (GridMap(5, 3, frozenset({Cell(2, 0), Cell(2, 1)})),
+         RobotTask(1, Cell(0, 0), Cell(4, 2), waypoints=(Cell(4, 0),))),
+    ], ids=["optimal-not-straight", "no-path", "detour", "straight-leg-then-detour"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_plan_not_walked_straight_is_searched(self, grid, task, mode):
+        exact = plan_multi_leg(grid, task)
+        assert planner._straight_plan(task, exact, self.HALF[mode]) is None
+        # Rate 0 takes the exact plan as it is, straight or not.
+        assert planner._straight_plan(task, exact, PerforationSpec(mode)) is exact
+        assert plan_multi_leg(grid, task, PerforationSpec(mode)) == exact
+
+
 class TestPlanOutcome:
     PATH = (Cell(0, 0), Cell(1, 0))
 

@@ -52,6 +52,7 @@ from perfplan.planner import (  # noqa: E402
     astar_exact,
     astar_perforated,
     manhattan,
+    plan_multi_leg,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -288,6 +289,24 @@ def test_found_perforated_paths_are_lawful(query, spec):
 def test_rate_zero_is_exact_astar_in_every_mode(query, spec):
     grid, start, goal = query
     assert astar_perforated(grid, start, goal, spec) == astar_exact(grid, start, goal)
+
+
+@st.composite
+def grid_tasks(draw):
+    """A grid of up to 8x8 and a task on its free cells with 0-2 waypoints;
+    stops may repeat, so a leg of no edge comes up too."""
+    grid = draw(grids())
+    stops = draw(st.lists(st.sampled_from(grid.free_cells()), min_size=2, max_size=4))
+    return grid, RobotTask(1, stops[0], stops[-1], tuple(stops[1:-1]))
+
+
+@SEARCH_SETTINGS
+@given(grid_tasks(), perforation_specs())
+def test_a_derived_straight_plan_is_the_perforated_plan(query, spec):
+    grid, task = query
+    derived = planner._straight_plan(task, plan_multi_leg(grid, task), spec)
+    if derived is not None:
+        assert derived == plan_multi_leg(grid, task, spec)
 
 
 def long_run_specs():
