@@ -24,7 +24,7 @@ from statistics import fmean
 from .executor import replay, simulate
 from .gridworld import _MAX_DRAWS, GridMap, RobotTask, Scenario, _draw_pair, component_labels, random_endpoints
 from .metrics import CaseRecord, PathErrorStats, aggregate_error
-from .planner import NO_PERFORATION, PerforationSpec, _straight_plan, astar_exact, astar_perforated, plan_multi_leg
+from .planner import NO_PERFORATION, PerforationSpec, astar_exact, astar_perforated, plan_multi_leg
 
 DEFAULT_SEED = 9
 DEFAULT_CASES = 20
@@ -223,17 +223,13 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
         n_collision = 0
         records = []
         for trial_scenario, exact in trials:
-            # A robot whose exact plan walked straight to each stop gets its
-            # plan derived from that plan and the schedule, with no search.
-            outcomes = {task.robot_id: _straight_plan(task, exact[task.robot_id], spec)
-                        or plan_multi_leg(trial_scenario.grid, task, spec)
+            outcomes = {task.robot_id: plan_multi_leg(trial_scenario.grid, task, spec)
                         for task in trial_scenario.tasks}
             for rid, out in outcomes.items():
                 records.append(CaseRecord.from_outcomes(len(records), exact[rid], out))
             # The exact plans were replayed safe when the trial was built;
             # the same paths give the same timelines, so only a changed plan
-            # set is replayed. A derived plan holds the exact path tuple
-            # itself, and searched paths share the grid's Cells: `!=` is cheap.
+            # set is replayed. Paths share the grid's Cells: `!=` is cheap.
             if (any(out.path != exact[rid].path for rid, out in outcomes.items())
                     and replay(trial_scenario, outcomes).collisions):
                 n_collision += 1

@@ -23,19 +23,23 @@ cell at once, with no key and no heap call: a full iteration hands it to
 the next one, and a perforated step moves onto it itself. A cell is
 decoded only after a heap pop. Pop order, and with it every path and
 counter, is that of a search with one heap over (f, h, y, x). A found
-path is decoded in one walk of the parent links, which end at the start's
-parent, the border index 0.
+path is decoded in one pass over the parent links, which end at the
+start's parent, the border index 0.
 
-A leg whose exact search walked straight to its goal, popping only the
-cells of its path (`expansions == manhattan + 1`), needs no perforated
-search: each of its iterations moved at once onto its first open neighbor
-toward the goal, in the order up, left, right, down, and a perforated
-iteration picks that same neighbor, with the same cells closed. So at every
-rate and in every mode that leg's path is the exact path, and the schedule
-alone decides its counters: of its `e` edges' iterations, the perforated
-slots among the first `e` are `skipped`, the rest plus the goal pop are
-`expansions` (plus the extent, `e + 1`, in truncation mode).
-`_straight_plan` derives such a plan from the exact one.
+Before the loop, a query is walked: from the start, step onto the first
+free neighbor toward the goal, in the order up, left, right, down, with
+no parent links and no heap. Until the search reaches a cell with no free
+neighbor toward the goal, every iteration does the same: a full iteration
+takes that neighbor directly, and a perforated one moves onto it itself.
+None of those cells can be closed, since each is a step nearer the goal
+than every cell closed before it, and the neighbors a full iteration
+queues are never popped. So when the walk reaches the goal, its path is
+the search's at every rate and in every mode, and the schedule alone
+decides the counters: of the `e` iterations the walk stands in for (`e`
+its edges), the full slots among the schedule's first `e`, plus the goal
+pop, are `expansions`, and the rest are `skipped`. The walk does the same
+work at every rate, so perforation buys nothing on a walked query. A walk
+that dead-ends is dropped, and the loop searches from the start.
 """
 
 from __future__ import annotations
@@ -135,8 +139,10 @@ class PlanOutcome:
 
     `expansions` counts executed main-loop iterations (including the final
     goal pop, and in truncation mode the exact search that sized the loop);
-    `skipped` counts perforated ones. `failed_leg` is set when a multi-leg
-    plan fails, to the 0-based index of the failing leg.
+    `skipped` counts perforated ones. A query that the walk (module
+    docstring) takes to its goal runs no loop: its counters are the loop
+    iterations that the walk stands in for. `failed_leg` is set when a
+    multi-leg plan fails, to the 0-based index of the failing leg.
     """
 
     status: str
@@ -200,10 +206,39 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
         raise ValueError(f"goal {Cell(*goal)} is blocked or out of range")
 
     w = grid.width + 2
-    # Closing a cell zeroes its byte: one lookup tests "free and not closed".
-    open_ = bytearray(grid._mask)
-    n = len(open_)
+    mask = grid._mask
+    n = len(mask)
     gy, gx = divmod(dst, w)
+    y, x = divmod(src, w)
+    # The walk (module docstring): step onto the first free neighbor toward
+    # the goal, up, left, right, down. Above the goal that is up, else the
+    # side step, and the other direction only when it is blocked; `c1` and
+    # `c2` count the steps left in each.
+    if y > gy:
+        d1, c1, d2, c2 = -w, y - gy, (1 if x < gx else -1), abs(x - gx)
+    else:
+        d1, c1, d2, c2 = (1 if x < gx else -1), abs(x - gx), w, gy - y
+    walk = [src]
+    cur = src
+    while True:
+        if c1 and mask[cur + d1]:
+            cur += d1
+            c1 -= 1
+        elif c2 and mask[cur + d2]:
+            cur += d2
+            c2 -= 1
+        else:
+            break
+        walk.append(cur)
+    if cur == dst:
+        # Its e iterations draw the schedule's first e slots; f run in full.
+        e = len(walk) - 1
+        f = sum(islice(_schedule(spec, extent, n), e))
+        cells, cell = grid._cells, grid._cell
+        return PlanOutcome(FOUND, tuple([cells[i] or cell(i) for i in walk]), f + 1, e - f)
+    # A dead end: the search runs from the start.
+    # Closing a cell zeroes its byte: one lookup tests "free and not closed".
+    open_ = bytearray(mask)
     # Every iteration but the last closes a cell, so no index reaches n.
     runs_in_full = _schedule(spec, extent, n).__next__
     # The open list has two levels. A step changes h by exactly 1, so a
@@ -220,7 +255,7 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     # or F + 2 already, no higher than this step would put it.
     now: list = []
     later: list = []
-    # The start's parent is 0, a border index and never a cell, so the walk
+    # The start's parent is 0, a border index and never a cell, so the pass
     # that decodes a found path ends there. The start is closed before any
     # neighbor test reads came_from, so its entry decides no queueing.
     came_from: dict = {src: 0}
@@ -230,7 +265,6 @@ def _astar(grid: GridMap, start: Cell, goal: Cell,
     cur = src
     # x, y (padded) and h are cur's: decoded for a cell taken from `now`,
     # moved along with a cell taken directly.
-    y, x = divmod(cur, w)
     h = abs(x - gx) + abs(y - gy)
 
     while True:
@@ -377,28 +411,3 @@ def plan_multi_leg(grid: GridMap, task: RobotTask,
         path.extend(outcome.path[1:] if path else outcome.path)
     return PlanOutcome(FOUND, tuple(path), expansions, skipped)
 
-
-def _straight_plan(task: RobotTask, exact: PlanOutcome, spec: PerforationSpec) -> PlanOutcome | None:
-    """`plan_multi_leg(grid, task, spec)`, derived from `exact`, the task's
-    exact plan on that grid, without a search; None when it cannot be.
-
-    Rate 0 gives `exact`. Otherwise the plan is derived only when every leg
-    of `exact` was straight (the module docstring says why its path is then
-    the exact path). A found plan is straight exactly when its expansions
-    sum to the legs' Manhattan distances plus one each: a found leg pops
-    every cell of its path, which has at least that many. Each leg's
-    counters are read from its own schedule, and the plan shares
-    `exact.path`.
-    """
-    if spec.skip == 0:
-        return exact
-    edges = [manhattan(src, dst) for src, dst in task.legs()]
-    if not exact.found or exact.skipped or exact.expansions != sum(edges) + len(edges):
-        return None
-    expansions = skipped = 0
-    for e in edges:
-        extent = e + 1 if spec.mode == TRUNCATION else None
-        perforated = e - sum(islice(_schedule(spec, extent, e), e))
-        expansions += e + 1 - perforated + (extent or 0)
-        skipped += perforated
-    return PlanOutcome(FOUND, exact.path, expansions, skipped)

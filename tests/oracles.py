@@ -6,7 +6,8 @@ per-tick scan for collisions.  The production code must agree with these
 on every fixture; the oracles themselves are kept simple enough to audit
 by eye.  `reference_astar` is A* on `Cell`s, a closed set and tuple heap
 keys, over `naive_neighbors`; the flat-array kernel `planner._astar` must
-reproduce it exactly, counters included.  `reference_collision_study` runs
+reproduce it exactly, counters included; `reference_plan` joins its legs
+as `planner.plan_multi_leg` does.  `reference_collision_study` runs
 a full `simulate` of every trial at every rate, where
 `harness.collision_study` replays only the trials whose plans changed.
 """
@@ -20,7 +21,15 @@ from perfplan.executor import simulate
 from perfplan.gridworld import Cell
 from perfplan.harness import CollisionRow, _build_trials
 from perfplan.metrics import perforated_cost, speedup_proxy
-from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, manhattan, perforation_schedule
+from perfplan.planner import (
+    FOUND,
+    NOT_FOUND,
+    TRUNCATION,
+    PerforationSpec,
+    PlanOutcome,
+    manhattan,
+    perforation_schedule,
+)
 
 
 def bfs_distance(grid, start, goal):
@@ -144,6 +153,23 @@ def reference_astar(grid, start, goal, spec, extent):
                 hn = manhattan(nb, goal)
                 heapq.heappush(open_heap, (ng + hn, hn, nb.y, nb.x))
     return PlanOutcome(NOT_FOUND, (), expansions, skipped)
+
+
+def reference_plan(grid, task, spec):
+    """Same contract as `planner.plan_multi_leg`, over `reference_astar`:
+    each leg searched on its own (in truncation mode sized by, and charged
+    for, its exact search), paths joined at their shared stops, counters
+    summed, and the 0-based index of the first leg that fails."""
+    path, expansions, skipped = [], 0, 0
+    for leg, (a, b) in enumerate(task.legs()):
+        extent = reference_astar(grid, a, b, None, None).expansions if spec.skip and spec.mode == TRUNCATION else 0
+        out = reference_astar(grid, a, b, spec, extent or None)
+        expansions += out.expansions + extent
+        skipped += out.skipped
+        if not out.found:
+            return PlanOutcome(NOT_FOUND, (), expansions, skipped, failed_leg=leg)
+        path.extend(out.path[1:] if path else out.path)
+    return PlanOutcome(FOUND, tuple(path), expansions, skipped)
 
 
 def brute_force_assignment(costs):

@@ -27,7 +27,7 @@ from perfplan.harness import (
     parse_sweep_csv,
     sweep,
 )
-from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, manhattan, plan_multi_leg
+from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, plan_multi_leg
 
 WAREHOUSE = builtin_scenario("warehouse")
 
@@ -284,30 +284,26 @@ class TestCollisionStudy:
         collision_study(WAREHOUSE, rates=[Fraction(3, 4)], n_trials=20)
         assert 0 < len(replays) < 20
 
-    def test_plans_walked_straight_are_not_searched_again(self, monkeypatch):
-        # The default warehouse study searches, at each rate, exactly the
-        # robots whose exact plan was not walked straight to each stop.
-        searched = []
+    def test_every_robot_is_planned_at_every_rate(self, monkeypatch):
+        # The default warehouse study plans each robot of each trial once
+        # per rate, in trial order, with no plan taken from another.
+        planned = []
         real_plan = harness_module.plan_multi_leg
 
         def plan(grid, task, spec):
-            searched.append(task)
+            planned.append((task, spec.rate))
             return real_plan(grid, task, spec)
 
         monkeypatch.setattr(harness_module, "plan_multi_leg", plan)
         collision_study(WAREHOUSE)
         trials = harness_module._build_trials(WAREHOUSE, DEFAULT_TRIALS, DEFAULT_SEED)
-        bent = [task for trial, exact in trials for task in trial.tasks
-                if exact[task.robot_id].expansions != sum(manhattan(a, b) + 1 for a, b in task.legs())]
-        assert 0 < len(bent) < 2 * DEFAULT_TRIALS
-        assert searched == bent * len(DEFAULT_STUDY_RATES)
+        tasks = [task for trial, _ in trials for task in trial.tasks]
+        assert planned == [(task, rate) for rate in DEFAULT_STUDY_RATES for task in tasks]
 
     def test_changed_rate_plans_are_checked(self, monkeypatch):
         # Only the perforated plan of robot 1 crosses the blocked cell (2,1);
         # it differs from the exact path, so the trial is replayed and the
-        # replay's free-cell check catches it. Robot 1's exact plan is
-        # straight, so the study would derive its plan without a search:
-        # no plan is derived here, and the injected one reaches the study.
+        # replay's free-cell check catches it.
         grid = GridMap(width=5, height=3, blocked=frozenset({Cell(2, 1)}))
         scenario = Scenario("rows", grid, (
             RobotTask(1, Cell(0, 0), Cell(4, 0)), RobotTask(2, Cell(0, 2), Cell(4, 2))))
@@ -320,15 +316,12 @@ class TestCollisionStudy:
             return real_plan(grid, task, spec)
 
         monkeypatch.setattr(harness_module, "plan_multi_leg", plan)
-        monkeypatch.setattr(harness_module, "_straight_plan", lambda task, exact, spec: None)
         with pytest.raises(RuntimeError, match=r"robot 1: .*blocked cell 2,1$"):
             collision_study(scenario, rates=[Fraction(1, 2)], n_trials=1)
 
     def test_failed_rate_plan_is_replayed(self, monkeypatch, replays):
         # A failed plan's path () differs from the exact path, so its trial
-        # is replayed; the failure is no collision. At rate 0 the study
-        # would take the exact plan as it is: no plan is derived here, and
-        # the injected one reaches the study.
+        # is replayed; the failure is no collision.
         real_plan = harness_module.plan_multi_leg
 
         def plan(grid, task, spec):
@@ -337,7 +330,6 @@ class TestCollisionStudy:
             return real_plan(grid, task, spec)
 
         monkeypatch.setattr(harness_module, "plan_multi_leg", plan)
-        monkeypatch.setattr(harness_module, "_straight_plan", lambda task, exact, spec: None)
         (row,) = collision_study(WAREHOUSE, rates=[Fraction(0)], n_trials=3)
         assert [report.failed_robots for report in replays] == [(1,)] * 3
         assert row.pct_collision_trials == 0.0

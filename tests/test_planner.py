@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from oracles import bfs_distance, reference_astar
+from oracles import bfs_distance, reference_astar, reference_plan
 from perfplan import planner
 from perfplan.gridworld import (
     BUILTIN_NAMES,
@@ -338,8 +338,9 @@ def _seeded_query(seed):
     return grid, rng.choice(free), rng.choice(free)
 
 
-def _search_events(monkeypatch, grid, start, goal, spec, handed=None):
-    """Run `_astar` and return its outcome and what it did, in order: "F"
+def _search_events(monkeypatch, grid, start, goal, spec, handed=None, extent=None):
+    """Run `_astar` (with `extent`, for truncation mode) and return its
+    outcome and what it did, in order: "F"
     or "P" for each schedule draw (full or perforated iteration), "push"
     and "pop" for each call on the heap of the current level, and
     "promote" for each heapify of the next level into it; "promote"
@@ -367,7 +368,7 @@ def _search_events(monkeypatch, grid, start, goal, spec, handed=None):
         events.append("F" if full else "P") or full for full in schedule(*args)))
     monkeypatch.setattr(planner, "heapq", SimpleNamespace(
         heappush=spy("heappush"), heappop=spy("heappop"), heapify=spy("heapify")))
-    out = _astar(grid, start, goal, spec, None)
+    out = _astar(grid, start, goal, spec, extent)
     monkeypatch.undo()
     return out, events
 
@@ -424,6 +425,85 @@ class TestKernelMatchesReference:
                 extent = exact.expansions if spec.mode == TRUNCATION else None
                 assert (_astar(grid, start, goal, spec, extent)
                         == reference_astar(grid, start, goal, spec, extent)), (start, goal, spec)
+
+    # The walk (module docstring of planner) on a 5x3 map. Each query names
+    # its blocked cells and the cell where the walk stops: the goal, or a
+    # dead end, from which the loop searches again from the start.
+    #   one blocked cell short: right along row 1 to (2, 1); (3, 1), the
+    #     goal's neighbor, is blocked, so the search goes around it. No
+    #     walk stops nearer its goal: from a neighbor of the goal the
+    #     walk steps onto it.
+    #   at the start: (0, 0)'s only step toward the goal, right, is blocked.
+    #   start is goal: no step, one iteration, the goal pop.
+    #   walked: left, up twice, left twice: up is the first step toward
+    #     the goal in the order up, left, right, down, and left the next.
+    WALK_QUERIES = {
+        "one blocked cell short": ({Cell(3, 1)}, Cell(0, 1), Cell(4, 1), Cell(2, 1)),
+        "at the start": ({Cell(1, 0)}, Cell(0, 0), Cell(4, 0), Cell(0, 0)),
+        "start is goal": (set(), Cell(2, 1), Cell(2, 1), Cell(2, 1)),
+        "walked": ({Cell(4, 1)}, Cell(4, 2), Cell(1, 0), Cell(1, 0)),
+    }
+    WALK_SPECS = [PerforationSpec(mode, rate.numerator, rate.denominator, seed=7)
+                  for mode in MODES for rate in (Fraction(0), Fraction(1, 2), Fraction(22, 25))]
+
+    @staticmethod
+    def _walk(grid, start, goal):
+        """The cells the walk steps onto, the start first: each step the
+        first free neighbor toward the goal, in the order up, left, right,
+        down, until the goal or a cell with none."""
+        walk = [start]
+        while walk[-1] != goal:
+            x, y = walk[-1]
+            steps = [Cell(x, y - 1), Cell(x - 1, y), Cell(x + 1, y), Cell(x, y + 1)]
+            toward = [c for c in steps if manhattan(c, goal) < manhattan(walk[-1], goal) and grid.is_free(c)]
+            if not toward:
+                break
+            walk.append(toward[0])
+        return walk
+
+    @pytest.mark.parametrize("spec", WALK_SPECS, ids=str)
+    @pytest.mark.parametrize("query", WALK_QUERIES)
+    def test_walk_and_its_dead_ends_equal_the_reference(self, monkeypatch, query, spec):
+        blocked, start, goal, stop = self.WALK_QUERIES[query]
+        grid = GridMap(5, 3, frozenset(blocked))
+        walk = self._walk(grid, start, goal)
+        assert walk[-1] == stop
+        extent = reference_astar(grid, start, goal, None, None).expansions
+        extent = extent if spec.mode == TRUNCATION else None
+        out, events = _search_events(monkeypatch, grid, start, goal, spec, extent=extent)
+        assert out == reference_astar(grid, start, goal, spec, extent)
+        draws = [event for event in events if event in ("F", "P")]
+        if stop == goal:
+            # A walked query makes no heap call and draws the schedule once
+            # per edge: the loop iterations it stands in for.
+            assert out.path == tuple(walk)
+            assert events == draws and len(draws) == out.edges
+        else:
+            # A dead-ending walk draws nothing: every draw is a loop
+            # iteration's, and the goal pop draws none.
+            assert len(draws) == out.expansions + out.skipped - out.found
+
+    @pytest.mark.parametrize("spec", WALK_SPECS, ids=str)
+    def test_walked_counters_read_the_schedule_at_the_extent(self, spec):
+        # Four edges along row 1, walked. The exact search pops the five
+        # cells of the path, so truncation's extent is 5. Of the first
+        # four slots, those that run in full are expansions, with the goal
+        # pop; the others are skipped.
+        grid = GridMap(5, 3, frozenset())
+        start, goal = Cell(0, 1), Cell(4, 1)
+        exact = _astar(grid, start, goal, NO_PERFORATION, None)
+        assert (exact.expansions, exact.skipped) == (5, 0)
+        extent = exact.expansions if spec.mode == TRUNCATION else None
+        full = sum(perforation_schedule(spec, i, extent) for i in range(4))
+        out = _astar(grid, start, goal, spec, extent)
+        assert (out.expansions, out.skipped) == (full + 1, 4 - full)
+        assert out == reference_astar(grid, start, goal, spec, extent)
+        assert out.path == exact.path
+        if spec.mode == TRUNCATION and spec.skip:
+            # 1/2 drops the last 2 of the 5 slots, 22/25 the last 4, of
+            # which the walk draws 1 and 3.
+            assert out.skipped == {Fraction(1, 2): 1, Fraction(22, 25): 3}[spec.rate]
+            assert astar_perforated(grid, start, goal, spec) == replace(out, expansions=out.expansions + 5)
 
     def test_perforated_pick_that_queues_nothing(self):
         # Map (S start, G goal):   G # . .
@@ -498,14 +578,17 @@ class TestKernelMatchesReference:
         assert _astar(grid, start, goal, spec, None) == want
 
     def test_second_toward_successor_is_pushed_and_the_first_taken(self, monkeypatch):
-        # Map: open 5x6, S = (3, 0), G = (2, 4). At 1/2 iteration 0 runs in
-        # full at S. (4, 0) is a step away from the goal and waits a level;
-        # (2, 0) and (3, 1) both have h 4 and S's f. (2, 0) comes first in
-        # row-major order, so it is taken directly, and (3, 1) is pushed
-        # with key h*n + cell. Iteration 1 is perforated at (2, 0) on the
-        # x, y and h moved along with it: with x = goal x it steps down,
-        # where an x off by one would step sideways.
-        grid = GridMap(5, 6, frozenset())
+        # Map: 5x6, S = (3, 0), G = (2, 4), (2, 3) and (3, 3) blocked. The
+        # walk (left, then down) dead-ends at (2, 2), so the loop runs from
+        # S; with (3, 3) open the search would go down column 3 instead.
+        # At 1/2 iteration 0 runs in full at S. (4, 0) is a step away from
+        # the goal and waits a level; (2, 0) and (3, 1) both have h 4 and
+        # S's f. (2, 0) comes first in row-major order, so it is taken
+        # directly, and (3, 1) is pushed with key h*n + cell. Iteration 1
+        # is perforated at (2, 0) on the x, y and h moved along with it:
+        # with x = goal x it steps down, where an x off by one would step
+        # sideways.
+        grid = GridMap(5, 6, frozenset({Cell(2, 3), Cell(3, 3)}))
         start, goal, spec = Cell(3, 0), Cell(2, 4), PerforationSpec(MODULO, 1, 2)
         handed = []
         out, events = _search_events(monkeypatch, grid, start, goal, spec, handed)
@@ -673,41 +756,40 @@ class TestMultiLeg:
             assert all(cell is room.grid._cell((cell.y + 1) * w + cell.x + 1) for cell in out.path)
 
 
-# (0, 0) -> (2, 2) on this 3x3 map: the first step toward the goal, right,
-# dead-ends at (1, 0), so the exact search pops (0, 1) off its heap and
-# takes an optimal path that it did not walk straight.
+# (0, 0) -> (2, 2) on this 3x3 map: the walk's first step toward the goal,
+# right, dead-ends at (1, 0), so the search pops (0, 1) off its heap and
+# takes an optimal path that it did not walk.
 #   ..#
 #   .#.
 #   ...
 POCKET_3x3 = GridMap(width=3, height=3, blocked=frozenset({Cell(2, 0), Cell(1, 1)}))
 
 
-class TestStraightPlan:
+class TestWalkedPlan:
     HALF = {mode: PerforationSpec(mode, 1, 2) for mode in MODES}
 
     @pytest.mark.parametrize("mode, counters", [(MODULO, (3, 2)), (RANDOM, (2, 3)), (TRUNCATION, (9, 1))])
     def test_counters_come_from_the_schedule(self, mode, counters):
-        # Four edges along a row. Modulo 1/2 perforates iterations 1 and 3,
-        # random at seed 0 three of the four; truncation's extent is the
-        # exact search's 5 expansions, of which the last 2 are dropped, so
-        # iteration 3 is perforated and the extent is added.
+        # Four edges along a row, walked. Modulo 1/2 perforates iterations
+        # 1 and 3, random at seed 0 three of the four; truncation's extent
+        # is the exact search's 5 expansions, of which the last 2 are
+        # dropped, so iteration 3 is perforated and the extent is added.
         task = RobotTask(1, Cell(0, 0), Cell(4, 0))
         exact = plan_multi_leg(OPEN_5x5, task)
         assert (exact.expansions, exact.skipped) == (5, 0)
-        out = planner._straight_plan(task, exact, self.HALF[mode])
+        out = plan_multi_leg(OPEN_5x5, task, self.HALF[mode])
         assert (out.expansions, out.skipped) == counters
-        assert out == plan_multi_leg(OPEN_5x5, task, self.HALF[mode])
-        assert out.path is exact.path
+        assert out == reference_plan(OPEN_5x5, task, self.HALF[mode])
+        assert out.path == exact.path
 
     @pytest.mark.parametrize("mode, counters", [(MODULO, (4, 1)), (TRUNCATION, (9, 1))])
     def test_a_waypoint_on_the_start_is_a_leg_of_no_edge(self, mode, counters):
         # The first leg is the goal pop alone (plus its extent of 1 in
         # truncation mode); the second, of three edges, perforates one.
         task = RobotTask(1, Cell(0, 0), Cell(3, 0), waypoints=(Cell(0, 0),))
-        exact = plan_multi_leg(OPEN_5x5, task)
-        out = planner._straight_plan(task, exact, self.HALF[mode])
+        out = plan_multi_leg(OPEN_5x5, task, self.HALF[mode])
         assert (out.expansions, out.skipped) == counters
-        assert out == plan_multi_leg(OPEN_5x5, task, self.HALF[mode])
+        assert out == reference_plan(OPEN_5x5, task, self.HALF[mode])
 
     @pytest.mark.parametrize("grid, task", [
         (POCKET_3x3, RobotTask(1, Cell(0, 0), Cell(2, 2))),
@@ -715,14 +797,14 @@ class TestStraightPlan:
         (GridMap(5, 3, frozenset({Cell(2, 0), Cell(2, 1)})), RobotTask(1, Cell(0, 0), Cell(4, 0))),
         (GridMap(5, 3, frozenset({Cell(2, 0), Cell(2, 1)})),
          RobotTask(1, Cell(0, 0), Cell(4, 2), waypoints=(Cell(4, 0),))),
-    ], ids=["optimal-not-straight", "no-path", "detour", "straight-leg-then-detour"])
+    ], ids=["optimal-not-walked", "no-path", "detour", "walked-leg-then-detour"])
     @pytest.mark.parametrize("mode", MODES)
-    def test_a_plan_not_walked_straight_is_searched(self, grid, task, mode):
-        exact = plan_multi_leg(grid, task)
-        assert planner._straight_plan(task, exact, self.HALF[mode]) is None
-        # Rate 0 takes the exact plan as it is, straight or not.
-        assert planner._straight_plan(task, exact, PerforationSpec(mode)) is exact
-        assert plan_multi_leg(grid, task, PerforationSpec(mode)) == exact
+    def test_a_plan_not_walked_is_searched(self, grid, task, mode):
+        # A leg whose walk dead-ends is searched from its start, at rate 0
+        # and at 1/2 alike.
+        for spec in (PerforationSpec(mode), self.HALF[mode]):
+            assert plan_multi_leg(grid, task, spec) == reference_plan(grid, task, spec)
+        assert plan_multi_leg(grid, task, PerforationSpec(mode)) == plan_multi_leg(grid, task)
 
 
 class TestPlanOutcome:
