@@ -19,6 +19,7 @@ import string
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from statistics import fmean
 
 from .executor import replay, simulate
@@ -98,7 +99,8 @@ class CollisionRow:
 
 
 # Report columns per row type, in CSV order: emission, the table and parsing
-# all read them here. `rate_decimal` is derived, so parsing skips it.
+# all read them here. `rate_decimal` is derived, so parsing checks it
+# against `rate`.
 _COLUMNS = {SweepRow: tuple(SWEEP_HEADER.split(",")), CollisionRow: tuple(COLLISION_HEADER.split(","))}
 _PARSE_COLUMN = {"rate": parse_rate, "n_trials": int}
 
@@ -207,6 +209,32 @@ def _build_trials(scenario: Scenario, n_trials: int, seed: int) -> list:
     return trials
 
 
+def _plan_every_robot(spec: PerforationSpec, scenario: Scenario, exact: dict) -> dict:
+    """The maker of every shipped row: each robot plans its own task at
+    `spec`, ignoring the exact plans and the other robots."""
+    return {task.robot_id: plan_multi_leg(scenario.grid, task, spec) for task in scenario.tasks}
+
+
+def _study_row(trials: list, make) -> tuple:
+    """Judge the plan set `make(scenario, exact)` gives each trial: a
+    robot-id -> PlanOutcome dict, in robot-id order. Returns the number of
+    trials whose plans collide and one CaseRecord per robot plan, against
+    the trial's exact plan."""
+    n_collision = 0
+    records = []
+    for trial_scenario, exact in trials:
+        outcomes = make(trial_scenario, exact)
+        for rid, out in outcomes.items():
+            records.append(CaseRecord.from_outcomes(len(records), exact[rid], out))
+        # The exact plans were replayed safe when the trial was built;
+        # the same paths give the same timelines, so only a changed plan
+        # set is replayed. Paths share the grid's Cells: `!=` is cheap.
+        if (any(out.path != exact[rid].path for rid, out in outcomes.items())
+                and replay(trial_scenario, outcomes).collisions):
+            n_collision += 1
+    return n_collision, records
+
+
 def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIALS,
                     seed: int = DEFAULT_SEED) -> list:
     """Fraction of seeded trials whose perforated plans collide, per rate."""
@@ -219,20 +247,8 @@ def collision_study(scenario: Scenario, rates=None, n_trials: int = DEFAULT_TRIA
 
     rows = []
     for rate in study_rates:
-        spec = PerforationSpec.from_rate(rate)
-        n_collision = 0
-        records = []
-        for trial_scenario, exact in trials:
-            outcomes = {task.robot_id: plan_multi_leg(trial_scenario.grid, task, spec)
-                        for task in trial_scenario.tasks}
-            for rid, out in outcomes.items():
-                records.append(CaseRecord.from_outcomes(len(records), exact[rid], out))
-            # The exact plans were replayed safe when the trial was built;
-            # the same paths give the same timelines, so only a changed plan
-            # set is replayed. Paths share the grid's Cells: `!=` is cheap.
-            if (any(out.path != exact[rid].path for rid, out in outcomes.items())
-                    and replay(trial_scenario, outcomes).collisions):
-                n_collision += 1
+        make = partial(_plan_every_robot, PerforationSpec.from_rate(rate))
+        n_collision, records = _study_row(trials, make)
         rows.append(CollisionRow(
             rate=rate,
             n_trials=n_trials,
@@ -271,9 +287,21 @@ def _parse_report(text: str, row_type, kind: str) -> list:
     reader = csv.reader(io.StringIO(text))
     if tuple(next(reader, ())) != columns:
         raise ValueError(f"not a {kind} CSV: header mismatch")
-    return [row_type(**{col: _PARSE_COLUMN.get(col, float)(val)
-                        for col, val in zip(columns, rec) if col != "rate_decimal"})
-            for rec in reader if rec]
+    rows = []
+    for rec in reader:
+        if not rec:
+            continue
+        try:
+            if len(rec) != len(columns):
+                raise ValueError(f"{len(rec)} fields where the header has {len(columns)}")
+            values = {col: _PARSE_COLUMN.get(col, float)(val) for col, val in zip(columns, rec)}
+            decimal = values.pop("rate_decimal", None)
+            if decimal is not None and decimal != float(values["rate"]):
+                raise ValueError(f"rate_decimal {decimal} is not rate {values['rate']} as a float")
+            rows.append(row_type(**values))
+        except ValueError as exc:
+            raise ValueError(f"{kind} CSV line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def parse_sweep_csv(text: str) -> list:

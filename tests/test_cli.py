@@ -388,3 +388,119 @@ def test_readme_rule_homes_name_existing_symbols():
         except AttributeError:
             missing.append(f"{module}.{dotted}")
     assert missing == []
+
+
+# Whole reports, pinned byte for byte before the walk, the every-tick
+# detector and the padded cost-matrix wavefront existed. CI also runs each
+# of these commands through the installed console script.
+DEADEND_SCEN = """\
+map 6 4
+....#.
+....#.
+......
+......
+robot 1 start 0,1 goal 5,1
+"""
+
+CROWD_SCEN = """\
+map 10 3
+..........
+..........
+..........
+robot 1 start 0,1 goal 9,1
+robot 2 start 9,1 goal 0,1
+robot 3 start 1,1 goal 8,1
+robot 4 start 8,1 goal 1,1
+robot 5 start 4,0 goal 4,2
+robot 6 start 5,2 goal 5,0
+robot 7 start 2,0 goal 7,2
+robot 8 start 7,0 goal 2,2
+"""
+
+CORRIDOR_SCEN = """\
+map 7 1
+.......
+robot 1 start 0,0 goal 6,0
+robot 2 start 3,0 goal 0,0
+robot 3 start 6,0 goal 3,0
+"""
+
+
+class TestGoldenOutputs:
+    def _run(self, argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_warehouse_study(self, capsys):
+        # Most of these robots' legs are walked to their stop, with no open
+        # list, at rate 0 and at two perforated rates.
+        assert self._run(["collisions", "warehouse", "--trials", "20", "--rates", "0,3/4,22/25"], capsys) == (
+            "rate,n_trials,pct_collision_trials,mean_speedup_proxy\n"
+            "0,20,0.0,1.0\n"
+            "3/4,20,0.0,2.025235030938151\n"
+            "22/25,20,5.0,2.1970874767629067\n")
+
+    @pytest.mark.parametrize("rate,want", [
+        ("0", """\
+robot 1: 7 edges, 9 expansions, 0 skipped
+path: (0,1) (1,1) (2,1) (3,1) (3,2) (4,2) (5,2) (5,1)
+....#.
+S***#G
+...***
+......
+"""),
+        ("3/4", """\
+robot 1: 7 edges, 5 expansions, 10 skipped
+path: (0,1) (0,2) (1,2) (2,2) (3,2) (4,2) (5,2) (5,1)
+....#.
+S...#G
+******
+......
+"""),
+    ])
+    def test_dead_end_plan(self, rate, want, tmp_path, capsys):
+        # The walk stops at 3,1: 4,1, the cell before the goal, is blocked,
+        # so the plan drops the walk and searches from the start.
+        path = tmp_path / "deadend.scen"
+        path.write_text(DEADEND_SCEN, encoding="utf-8")
+        assert self._run(["plan", str(path), "--robot", "1", "--rate", rate], capsys) == want
+
+    def test_crowd_simulation(self, tmp_path, capsys):
+        # Eight robots cross one corridor: the every-tick detector's
+        # followers, swaps and shared cells, event for event.
+        path = tmp_path / "crowd.scen"
+        path.write_text(CROWD_SCEN, encoding="utf-8")
+        assert self._run(["simulate", str(path)], capsys) == """\
+robot 1: 9 edges, 10 expansions, 0 skipped
+robot 2: 9 edges, 10 expansions, 0 skipped
+robot 3: 7 edges, 8 expansions, 0 skipped
+robot 4: 7 edges, 8 expansions, 0 skipped
+robot 5: 2 edges, 3 expansions, 0 skipped
+robot 6: 2 edges, 3 expansions, 0 skipped
+robot 7: 7 edges, 8 expansions, 0 skipped
+robot 8: 7 edges, 8 expansions, 0 skipped
+makespan: 9
+collisions (t,kind,robot_a,robot_b,cells):
+2,vertex,6,8,5:0
+3,vertex,6,7,5:0
+3,edge,7,8,4:0|5:0
+4,vertex,1,4,4:1
+4,vertex,2,3,5:1
+4,edge,3,4,4:1|5:1
+5,edge,1,2,4:1|5:1
+6,vertex,3,7,7:1
+6,vertex,4,8,2:1
+8,vertex,1,3,8:1
+8,vertex,2,4,1:1
+..++XX++..
++XX+XX+XX+
+..8.56.7..
+"""
+
+    def test_corridor_assignment(self, tmp_path, capsys):
+        # A one-row map pads to three rows, so the cost-matrix wavefront
+        # has no interior row above or below a robot.
+        path = tmp_path / "corridor.scen"
+        path.write_text(CORRIDOR_SCEN, encoding="utf-8")
+        assert self._run(["assign", str(path), "--tasks", "5,0;1,0;3,0"], capsys) == (
+            "robot_id,task_index,cost\n1,1,1\n2,2,0\n3,0,1\n")

@@ -346,6 +346,56 @@ class TestCollisionStudy:
             collision_study(parked, rates=[Fraction(0)], n_trials=2)
 
 
+def _open_grid_trial(name, tasks):
+    """A trial on an open 3x3 grid: the scenario and its exact plans."""
+    scenario = Scenario(name, GridMap(width=3, height=3, blocked=frozenset()), tasks)
+    exact = {task.robot_id: plan_multi_leg(scenario.grid, task, PerforationSpec.from_rate(0))
+             for task in tasks}
+    return scenario, exact
+
+
+# Robot 1 crosses row 0 eastward while robot 2 crosses row 2 westward; then
+# both cross a column. Each exact plan is the only shortest path, so the
+# robots' plans never share a cell.
+ROWS_TRIAL = _open_grid_trial("rows", (
+    RobotTask(1, Cell(0, 0), Cell(2, 0)), RobotTask(2, Cell(2, 2), Cell(0, 2))))
+COLUMNS_TRIAL = _open_grid_trial("columns", (
+    RobotTask(1, Cell(0, 0), Cell(0, 2)), RobotTask(2, Cell(2, 2), Cell(2, 0))))
+
+
+class TestStudyRow:
+    """The trial loop judges whatever plan set a maker gives each trial."""
+
+    def test_exact_plans_are_never_replayed(self, replays):
+        n_collision, records = harness_module._study_row(
+            [ROWS_TRIAL, COLUMNS_TRIAL], lambda scenario, exact: exact)
+        assert n_collision == 0
+        assert replays == []
+        assert [r.case_id for r in records] == [0, 1, 2, 3]
+        assert [r.proxy_speedup for r in records] == [1.0] * 4
+
+    def test_head_on_plan_set_is_counted(self, replays):
+        # Both robots detour through row 1 and meet head-on at (1,1) at t=2.
+        head_on = {
+            1: PlanOutcome(FOUND, (Cell(0, 0), Cell(0, 1), Cell(1, 1), Cell(2, 1), Cell(2, 0)), 5, 0),
+            2: PlanOutcome(FOUND, (Cell(2, 2), Cell(2, 1), Cell(1, 1), Cell(0, 1), Cell(0, 2)), 5, 0),
+        }
+        rows_scenario = ROWS_TRIAL[0]
+        n_collision, records = harness_module._study_row(
+            [ROWS_TRIAL, COLUMNS_TRIAL],
+            lambda scenario, exact: head_on if scenario is rows_scenario else exact)
+        assert n_collision == 1
+        assert [report.collisions != () for report in replays] == [True]
+        assert [r.approx_len for r in records] == [4, 4, 2, 2]
+
+    def test_failed_robot_is_replayed_but_no_collision(self, replays):
+        n_collision, records = harness_module._study_row(
+            [ROWS_TRIAL], lambda scenario, exact: {1: PlanOutcome(NOT_FOUND, (), 1, 0), 2: exact[2]})
+        assert n_collision == 0
+        assert [report.failed_robots for report in replays] == [(1,)]
+        assert [r.approx_len for r in records] == [None, 2]
+
+
 SWEEP_ROWS = [
     SweepRow(
         rate=Fraction(1, 2),
@@ -414,3 +464,20 @@ class TestReports:
             parse_sweep_csv(emit_reports(COLLISION_ROWS))
         with pytest.raises(ValueError, match="header"):
             parse_collision_csv(emit_reports(SWEEP_ROWS))
+
+    @pytest.mark.parametrize("parse,rows,kind", [
+        (parse_sweep_csv, SWEEP_ROWS, "sweep"), (parse_collision_csv, COLLISION_ROWS, "collision")])
+    def test_parsers_reject_rows_of_the_wrong_width(self, parse, rows, kind):
+        # Each message names the row's 1-based line; the header is line 1.
+        header, first, second = emit_reports(rows).splitlines()
+        width = len(header.split(","))
+        with pytest.raises(ValueError, match=rf"^{kind} CSV line 3: {width + 1} fields where the header has {width}$"):
+            parse(f"{header}\n{first}\n{second},99\n")
+        with pytest.raises(ValueError, match=rf"^{kind} CSV line 2: {width - 2} fields where the header has {width}$"):
+            parse(f"{header}\n{first.rsplit(',', 2)[0]}\n{second}\n")
+
+    def test_sweep_parser_rejects_a_rate_decimal_that_is_not_the_rate(self):
+        text = emit_reports(SWEEP_ROWS)
+        assert text.splitlines()[2].startswith("0,0.0,")
+        with pytest.raises(ValueError, match=r"^sweep CSV line 3: rate_decimal 0.5 is not rate 0 as a float$"):
+            parse_sweep_csv(text.replace("\n0,0.0,", "\n0,0.5,"))
