@@ -1,10 +1,12 @@
 """Discrete-time replay of planned paths and inter-robot collision detection.
 
 Robots advance one cell per tick, all starting at t = 0, and park on their
-final cell for the remainder of the horizon (a parked robot stays collidable).
-Two robots collide either by occupying one cell during the same tick (vertex)
-or by exchanging adjacent cells across a tick boundary (edge/swap); both kinds
-are reported because a head-on meeting on a grid is always one of the two.
+final cell for the remainder of the horizon (_parked; a parked robot stays
+collidable). Two robots collide either by occupying one cell during the same
+tick (vertex) or by exchanging adjacent cells across a tick boundary
+(edge/swap), at most once a tick; both kinds are reported because a head-on
+meeting on a grid is always one of the two. Each pair is written lower id
+first, so the events' sort by (t, robots, kind) ignores the robots' order.
 
 _tick_events is the one rule that builds a tick's events, over any
 hashable cell keys: set operations over the tick's keys flag a collision,
@@ -95,13 +97,16 @@ class SimulationReport:
 
 def path_to_timeline(robot_id: int, path, horizon: int) -> Timeline:
     """Pad a path to `horizon` ticks by parking the robot at its last cell."""
-    cells = list(path)
-    if not cells:
+    return Timeline(robot_id, _parked(tuple(path), horizon))
+
+
+def _parked(path, horizon: int) -> tuple:
+    """`path` parked on its last cell up to tick `horizon`, or ValueError."""
+    if not path:
         raise ValueError("cannot build a timeline from an empty path")
-    if horizon < len(cells) - 1:
-        raise ValueError(f"horizon {horizon} shorter than path ({len(cells) - 1} edges)")
-    cells.extend([cells[-1]] * (horizon - (len(cells) - 1)))
-    return Timeline(robot_id, tuple(cells))
+    if horizon < len(path) - 1:
+        raise ValueError(f"horizon {horizon} shorter than path ({len(path) - 1} edges)")
+    return (*path, *repeat(path[-1], horizon - len(path) + 1))
 
 
 # Above this many timelines detect_collisions builds events on every tick;
@@ -116,26 +121,24 @@ _PER_TICK_ROBOTS = 5
 def detect_collisions(timelines, *, _keys=None) -> tuple:
     """Every vertex and swap event over all robot pairs, sorted by (t, robots).
 
-    Timelines must share one horizon and distinct robot ids; pad them via
-    path_to_timeline first. The event rule runs on the timelines'
-    positions; replay passes `_keys`, the same ticks as columns of its
-    grid's mask indices (in the timelines' order) and the decoder from an
-    index to the grid's shared Cell, and the rule runs on those.
+    Timelines, in any order, must share one horizon and distinct robot ids;
+    pad them via path_to_timeline first. The event rule runs on the
+    timelines' positions; replay passes `_keys`, the same ticks as columns
+    of its grid's mask indices (in the timelines' order) and the decoder
+    from an index to the grid's shared Cell, and the rule runs on those.
     """
     tls = list(timelines)
     if len({tl.horizon for tl in tls}) > 1:
         raise ValueError("timelines have mismatched horizons; pad them first")
     cols, cell = _keys if _keys is not None else ([tl.positions for tl in tls], _as_is)
-    order = sorted(range(len(tls)), key=lambda i: tls[i].robot_id)
-    ids = [tls[i].robot_id for i in order]
-    for a, b in zip(ids, ids[1:]):
-        if a == b:
-            raise ValueError(f"duplicate robot id {a}")
-    return _events(ids, [cols[i] for i in order], cell)
+    ids = [tl.robot_id for tl in tls]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"duplicate robot id {min(rid for rid, n in Counter(ids).items() if n > 1)}")
+    return _events(ids, cols, cell)
 
 
 def _events(ids, cols, cell) -> tuple:
-    """Every event of the key columns `cols` of robots `ids` (ascending),
+    """Every event of the key columns `cols` of robots `ids` (any order),
     sorted by (t, robots, kind); `cell` decodes a key into its cell.
 
     Groups of more than _PER_TICK_ROBOTS build events on every tick, for
@@ -264,7 +267,7 @@ def simulate(scenario: Scenario, spec: PerforationSpec = NO_PERFORATION) -> Simu
 
 
 def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
-    """Replay planned `outcomes` (robot_id -> PlanOutcome, in robot-id order)
+    """Replay planned `outcomes` (robot_id -> PlanOutcome, in any order)
     on the scenario's grid, and report conflicts.
 
     A robot whose plan failed is recorded in failed_robots and excluded from
@@ -282,17 +285,14 @@ def replay(scenario: Scenario, outcomes: dict) -> SimulationReport:
     timelines, cols = [], []
     for rid, out in found.items():
         path, keys = out.path, keyed[rid]
-        if not path:
-            raise ValueError("cannot build a timeline from an empty path")
+        positions = _parked(path, horizon)
         if t := grid._first_bad_step(keys):
             raise ValueError(f"non-adjacent step {path[t - 1]} -> {path[t]} at tick {t}")
-        pad = horizon - len(keys) + 1
-        keys.extend(repeat(keys[-1], pad))
-        cols.append(keys)
+        cols.append([*keys, *repeat(keys[-1], len(positions) - len(keys))])
         # The steps are checked: the timeline is built without Timeline's
         # second check.
         tl = object.__new__(Timeline)
-        tl.__dict__.update(robot_id=rid, positions=(*path, *repeat(path[-1], pad)))
+        tl.__dict__.update(robot_id=rid, positions=positions)
         timelines.append(tl)
     timelines = tuple(timelines)
     return SimulationReport(

@@ -373,14 +373,22 @@ def component_labels(grid: GridMap) -> dict:
     return labels
 
 
-# Draws allowed for one valid start/goal pair before sampling gives up.
+# Rejection draws for one start/goal pair before the pair is drawn by
+# construction instead.
 _MAX_DRAWS = 1000
 
 
 def _draw_pair(rng: random.Random, free: list, labels: dict, taken=None):
-    """A (start, goal) pair of distinct cells in one component, or None after
-    _MAX_DRAWS draws. `taken` is (starts, goals) already used: the start may
-    not be among the starts, nor the goal among the goals."""
+    """A (start, goal) pair of distinct cells in one component, uniform over
+    every such pair, or None when there is none. `taken` is (starts, goals)
+    already used: the start may not be among the starts, nor the goal among
+    the goals.
+
+    Up to _MAX_DRAWS rejection draws come first. Should they all miss, the
+    pair is drawn by construction: a start s that is no taken start weighs
+    the goals it may take, the untaken goals of its component other than
+    s, and one uniform draw over those weights picks s and its goal.
+    """
     used_starts, used_goals = taken or ((), ())
     for _ in range(_MAX_DRAWS):
         start = free[rng.randrange(len(free))]
@@ -388,15 +396,27 @@ def _draw_pair(rng: random.Random, free: list, labels: dict, taken=None):
         if (start != goal and labels[start] == labels[goal]
                 and start not in used_starts and goal not in used_goals):
             return start, goal
-    return None
+    goals: dict = {}
+    for cell in free:
+        if cell not in used_goals:
+            goals.setdefault(labels[cell], []).append(cell)
+    starts = [cell for cell in free if cell not in used_starts]
+    weights = [len(goals.get(labels[s], ())) - (s not in used_goals) for s in starts]
+    total = sum(weights)
+    if not total:
+        return None
+    k = rng.randrange(total)
+    for start, weight in zip(starts, weights):
+        if k < weight:
+            return start, [g for g in goals[labels[start]] if g != start][k]
+        k -= weight
 
 
 def random_endpoints(grid: GridMap, seed: int, n: int) -> list[tuple[Cell, Cell]]:
     """Sample n (start, goal) pairs of distinct, mutually reachable free cells.
 
-    Pairs are uniform over all valid ordered pairs (rejection sampling) and
-    fully determined by the seed. Raises ValueError when some pair takes more
-    than _MAX_DRAWS draws.
+    Pairs are uniform over all valid ordered pairs and fully determined by
+    the seed. Raises ValueError when the grid has no such pair.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -405,10 +425,4 @@ def random_endpoints(grid: GridMap, seed: int, n: int) -> list[tuple[Cell, Cell]
     if len(set(labels.values())) == len(labels):  # every component is one cell
         raise ValueError("grid has no two mutually reachable free cells")
     rng = random.Random(seed)
-    pairs = []
-    for k in range(n):
-        pair = _draw_pair(rng, free, labels)
-        if pair is None:
-            raise ValueError(f"pair {k}: no two mutually reachable free cells drawn in {_MAX_DRAWS} draws")
-        pairs.append(pair)
-    return pairs
+    return [_draw_pair(rng, free, labels) for _ in range(n)]

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import string
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from statistics import fmean
@@ -75,6 +76,20 @@ def parse_rate_list(text: str) -> tuple:
     return rates
 
 
+def _percentage(name: str, value: float) -> None:
+    """ValueError unless `value` lies in [0, 100]; NaN does not."""
+    if not 0 <= value <= 100:
+        raise ValueError(f"{name} {value} is not a percentage in [0, 100]")
+
+
+def _positive_proxy(value: float) -> None:
+    """ValueError unless the work-proxy speedup `value` is finite and above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"mean_speedup_proxy {value} is not a finite speedup above 0")
+
+
+# A row holds only what a run can produce: sweep, collision_study and the
+# CSV parsers all build rows through these checks.
 @dataclass(frozen=True)
 class SweepRow:
     rate: Fraction
@@ -84,6 +99,24 @@ class SweepRow:
     pct_failed: float
     e_p: float
     max_increase_pct: float
+
+    def __post_init__(self):
+        for column in fields(self)[1:]:
+            if not math.isfinite(value := getattr(self, column.name)):
+                raise ValueError(f"{column.name} {value} is not finite")
+        # An untimed sweep reads 0 on the wall clock.
+        if self.mean_speedup_wall < 0:
+            raise ValueError(f"mean_speedup_wall {self.mean_speedup_wall} is negative")
+        _positive_proxy(self.mean_speedup_proxy)
+        _percentage("pct_len_increase", self.pct_len_increase)
+        _percentage("pct_failed", self.pct_failed)
+        if self.e_p < 0:
+            raise ValueError(f"e_p {self.e_p} is negative")
+        # e_p is a mean of the cases' increases and max_increase_pct their
+        # largest; the float mean of equal increases can exceed them by
+        # one ulp, never by more.
+        if self.e_p > self.max_increase_pct + math.ulp(self.max_increase_pct):
+            raise ValueError(f"max_increase_pct {self.max_increase_pct} is below e_p {self.e_p}")
 
     @property
     def rate_decimal(self) -> float:
@@ -96,6 +129,15 @@ class CollisionRow:
     n_trials: int
     pct_collision_trials: float
     mean_speedup_proxy: float
+
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials {self.n_trials} is below 1")
+        pct = self.pct_collision_trials
+        _percentage("pct_collision_trials", pct)
+        if 100 * round(pct * self.n_trials / 100) / self.n_trials != pct:
+            raise ValueError(f"pct_collision_trials {pct} is no whole number of {self.n_trials} trials")
+        _positive_proxy(self.mean_speedup_proxy)
 
 
 # Report columns per row type, in CSV order: emission, the table and parsing
@@ -164,7 +206,8 @@ def sweep(scenario_grid: GridMap, rates=None, n_cases: int = DEFAULT_CASES,
 
 def _resample_tasks(scenario: Scenario, rng: random.Random, labels, free_cells):
     """Fresh start/goal pairs for every robot. Raises ValueError naming the
-    first robot that finds no valid pair within _MAX_DRAWS draws."""
+    first robot for which the starts and goals already drawn leave no
+    valid pair."""
     tasks = []
     used_starts, used_goals = set(), set()
     for base in scenario.tasks:
@@ -217,9 +260,9 @@ def _plan_every_robot(spec: PerforationSpec, scenario: Scenario, exact: dict) ->
 
 def _study_row(trials: list, make) -> tuple:
     """Judge the plan set `make(scenario, exact)` gives each trial: a
-    robot-id -> PlanOutcome dict, in robot-id order. Returns the number of
+    robot-id -> PlanOutcome dict, in any order. Returns the number of
     trials whose plans collide and one CaseRecord per robot plan, against
-    the trial's exact plan."""
+    the trial's exact plan, in the order of the dicts."""
     n_collision = 0
     records = []
     for trial_scenario, exact in trials:

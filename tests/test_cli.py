@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from perfplan import cli
 from perfplan.cli import build_parser, main
 from perfplan.gridworld import Cell, RobotTask, Scenario, builtin_scenario, render_scenario
-from perfplan.harness import COLLISION_HEADER, SWEEP_HEADER
+from perfplan.harness import COLLISION_HEADER, DEFAULT_RATE_LADDER, SWEEP_HEADER, parse_sweep_csv
 
 
 @pytest.fixture()
@@ -256,12 +257,15 @@ class TestReportCommands:
         assert captured.out == ""
         assert captured.err == "error: scenario's own exact plans fail; robots without a path: 1\n"
 
-    def test_sweep_without_drawable_endpoints_is_one(self, isolated_pair_grid, tmp_path, capsys):
+    def test_sweep_with_rare_endpoints_draws_them(self, isolated_pair_grid, tmp_path, capsys):
+        # The grid's one reachable pair is rarer than 1 in 1000 random draws.
         path = tmp_path / "sparse.scen"
         path.write_text(render_scenario(Scenario("sparse", isolated_pair_grid, ())), encoding="utf-8")
-        assert main(["sweep", str(path), "--cases", "2"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: pair 0: ") and err.endswith(" in 1000 draws\n")
+        t0 = time.perf_counter()
+        assert main(["sweep", str(path), "--cases", "2"]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        rows = parse_sweep_csv(capsys.readouterr().out)
+        assert [(r.pct_failed, r.e_p) for r in rows] == [(0.0, 0.0)] * len(DEFAULT_RATE_LADDER)
 
 
 class TestAssign:
@@ -390,9 +394,10 @@ def test_readme_rule_homes_name_existing_symbols():
     assert missing == []
 
 
-# Whole reports, pinned byte for byte before the walk, the every-tick
-# detector and the padded cost-matrix wavefront existed. CI also runs each
-# of these commands through the installed console script.
+# Whole reports, pinned byte for byte: the first four before the walk, the
+# every-tick detector and the padded cost-matrix wavefront existed. CI runs
+# the installed console script on a few commands only, since an editable
+# install runs these same sources.
 DEADEND_SCEN = """\
 map 6 4
 ....#.
@@ -504,3 +509,119 @@ collisions (t,kind,robot_a,robot_b,cells):
         path.write_text(CORRIDOR_SCEN, encoding="utf-8")
         assert self._run(["assign", str(path), "--tasks", "5,0;1,0;3,0"], capsys) == (
             "robot_id,task_index,cost\n1,1,1\n2,2,0\n3,0,1\n")
+
+    def test_warehouse_simulation_at_three_quarters(self, capsys):
+        # Both robots' legs are walked, perforated at 3/4, and replayed on
+        # the pair-scan detector.
+        assert self._run(["simulate", "warehouse", "--rate", "3/4"], capsys) == """\
+robot 1: 31 edges, 9 expansions, 23 skipped
+robot 2: 24 edges, 7 expansions, 18 skipped
+makespan: 31
+collisions: none
+........................
+........................
+........................
+...##..##..##..##..##...
+...##11##..##..##..##...
+...##.1##..##..##..##...
+...##.1##..##..##..##...
+..2##.1##..##..##..##...
+..2##.1##..##..##..##...
+..2##.1111111111111111..
+..2##................1..
+..2##..##..##..##..##1..
+..2##..##..##..##..##1..
+..2##..##..##..##..##1..
+..2##..##..##..##..##1..
+..2##..##..##..##..##1..
+..2##..##..##..##..##1..
+..2222222222222......1..
+..............2......1..
+..............2......1..
+........................
+"""
+
+    def test_room_study(self, capsys):
+        # The default study rates, as CSV and as a table.
+        assert self._run(["collisions", "room", "--trials", "3"], capsys) == (
+            "rate,n_trials,pct_collision_trials,mean_speedup_proxy\n"
+            "3/5,3,0.0,1.6654092071611253\n"
+            "3/4,3,0.0,2.085361171318618\n"
+            "4/5,3,0.0,2.249281045751634\n")
+        assert self._run(["collisions", "room", "--trials", "3", "--format", "table"], capsys) == (
+            "rate  n_trials  pct_collision_trials  mean_speedup_proxy\n"
+            "3/5   3         0.0                   1.6654092071611253\n"
+            "3/4   3         0.0                   2.085361171318618\n"
+            "4/5   3         0.0                   2.249281045751634\n")
+
+    def test_room_sweep_but_its_wall_column(self, capsys):
+        # mean_speedup_wall, the third column, is timed on the wall clock.
+        text = self._run(["sweep", "room", "--cases", "2", "--rates", "22/25"], capsys)
+        header, row = text.splitlines()
+        assert header == SWEEP_HEADER
+        assert row == f"22/25,0.88,{row.split(',')[2]},2.16,0.0,0.0,0.0,0.0"
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--robot", "1", "--rate", "22/25"], (
+            "robot 1: 47 edges, 8 expansions, 41 skipped\n"
+            "path: (0,0) (1,0) (2,0) (3,0) (4,0) (5,0) (6,0) (7,0) (8,0) (9,0) "
+            "(10,0) (11,0) (12,0) (12,1) (12,2) (12,3) (12,4) (12,5) (12,6) (12,7) (12,8) "
+            "(12,9) (12,10) (12,9) (12,8) (12,7) (12,6) (12,5) (12,4) (12,3) (12,2) (12,1) "
+            "(12,0) (13,0) (14,0) (15,0) (16,0) (17,0) (18,0) (19,0) (20,0) (21,0) (22,0) "
+            "(23,0) (24,0) (25,0) (26,0) (27,0)\n"
+            "S**************************G\n"
+            "............*...............\n"
+            "............*...............\n"
+            "............*...............\n"
+            "............*...............\n"
+            "............*...............\n"
+            "............*...............\n"
+            "............*...............\n"
+            "............*...............\n"
+            "............*####...........\n"
+            "............V####...........\n"
+            ".............####...........\n"
+            ".............####...........\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n")),
+        (["--robot", "2", "--rate", "22/25", "--mode", "random", "--seed", "3"], (
+            "robot 2: 47 edges, 6 expansions, 43 skipped\n"
+            "path: (0,21) (0,20) (0,19) (0,18) (0,17) (0,16) (0,15) (0,14) (0,13) (0,12) "
+            "(0,11) (1,11) (2,11) (3,11) (4,11) (5,11) (6,11) (7,11) (8,11) (9,11) (10,11) "
+            "(11,11) (12,11) (12,12) (12,13) (13,13) (14,13) (15,13) (16,13) (17,13) (18,13) (19,13) "
+            "(20,13) (21,13) (22,13) (23,13) (24,13) (25,13) (26,13) (27,13) (27,14) (27,15) (27,16) "
+            "(27,17) (27,18) (27,19) (27,20) (27,21)\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            "............................\n"
+            ".............####...........\n"
+            ".............####...........\n"
+            "************V####...........\n"
+            "*...........*####...........\n"
+            "*...........****************\n"
+            "*..........................*\n"
+            "*..........................*\n"
+            "*..........................*\n"
+            "*..........................*\n"
+            "*..........................*\n"
+            "*..........................*\n"
+            "*..........................*\n"
+            "S..........................G\n")),
+    ])
+    def test_room_plan_at_the_top_rate(self, argv, want, capsys):
+        # Multi-leg plans at the top ladder rate: most iterations are
+        # perforated steps that move onto their cell themselves.
+        assert self._run(["plan", "room", *argv], capsys) == want

@@ -1,5 +1,6 @@
 """Timeline replay, collision detection, and whole-scenario simulation."""
 
+import itertools
 import random
 
 import pytest
@@ -17,9 +18,9 @@ from perfplan.executor import (
     replay,
     simulate,
 )
-from perfplan.gridworld import Cell, Scenario, builtin_scenario, GridMap, RobotTask
+from perfplan.gridworld import Cell, Scenario, builtin_scenario, GridMap, RobotTask, load_scenario
 from perfplan.planner import (
-    FOUND, MODULO, RANDOM, TRUNCATION, PerforationSpec, PlanOutcome, astar_exact, plan_multi_leg,
+    FOUND, MODULO, NOT_FOUND, RANDOM, TRUNCATION, PerforationSpec, PlanOutcome, astar_exact, plan_multi_leg,
 )
 
 
@@ -224,6 +225,38 @@ class TestDetectCollisions:
         for group in (same_cell, swap):
             with pytest.raises(ValueError, match="duplicate robot id 1$"):
                 detect_collisions(group + self.parked(2, group[0].horizon))
+
+    # The events depend on the timelines, not on their order: the detector
+    # sorts no robots, and the events' own sort is total. Every order of
+    # each fixture and of groups of five walks of unequal length, padded to
+    # one horizon, on both paths.
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_every_order_of_a_group_gives_the_same_events(self, monkeypatch, threshold):
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        rng = random.Random(34)
+        grid = GridMap(width=3, height=3, blocked=frozenset())
+        groups = collision_fixtures(60, seed=424242)
+        for _ in range(20):
+            horizon = rng.randrange(2, 12)
+            walks = [random_walk_timeline(grid, rng, rid, rng.randrange(horizon + 1))
+                     for rid in rng.sample(range(1, 50), 5)]
+            groups.append([path_to_timeline(walk.robot_id, walk.positions, horizon) for walk in walks])
+        kinds = set()
+        for group in groups:
+            events = detect_collisions(group)
+            assert as_tuples(events) == scan_collisions(group)
+            for order in itertools.permutations(group):
+                assert detect_collisions(order) == events
+            kinds.update(e.kind for e in events)
+        assert kinds == {VERTEX, EDGE}
+
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_duplicate_ids_in_any_order_name_the_smallest(self, monkeypatch, threshold):
+        monkeypatch.setattr(executor, "_PER_TICK_ROBOTS", threshold)
+        group = [path_to_timeline(rid, [Cell(2 * k, 0)], 2) for k, rid in enumerate((7, 3, 7, 5, 3))]
+        for order in itertools.permutations(group):
+            with pytest.raises(ValueError, match="^duplicate robot id 3$"):
+                detect_collisions(order)
 
     # _tick_events indexes only the robots that can be in an event: the
     # robots on a key held more than once, and the robots moving between two
@@ -470,6 +503,31 @@ class TestReplay:
             rid = next(r for r, p in paths.items() if p is through_wall)
             with pytest.raises(RuntimeError, match=rf"^robot {rid}: planned path crosses blocked cell 1,1$"):
                 self.replay_paths(grid, paths)
+
+    def test_outcomes_in_any_order_give_the_same_verdict(self):
+        # Eight robots cross one corridor: their exact plans meet head-on
+        # and share cells. Robot 6 failed to plan.
+        scenario = load_scenario("""\
+map 10 3
+..........
+..........
+..........
+robot 1 start 0,1 goal 9,1
+robot 2 start 9,1 goal 0,1
+robot 3 start 1,1 goal 8,1
+robot 4 start 8,1 goal 1,1
+robot 5 start 4,0 goal 4,2
+robot 6 start 5,2 goal 5,0
+robot 7 start 2,0 goal 7,2
+robot 8 start 7,0 goal 2,2
+""", name="crowd")
+        outcomes = {task.robot_id: plan_multi_leg(scenario.grid, task, PerforationSpec()) for task in scenario.tasks}
+        outcomes[6] = PlanOutcome(NOT_FOUND, (), 1, 0)
+        report = replay(scenario, outcomes)
+        assert {e.kind for e in report.collisions} == {VERTEX, EDGE}
+        backwards = replay(scenario, dict(reversed(outcomes.items())))
+        assert backwards.collisions == report.collisions
+        assert backwards.failed_robots == report.failed_robots == (6,)
 
     def test_lawful_paths_on_the_grid_edges_replay(self):
         # Steps along the first and last row and column, and waits.

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from oracles import bfs_distance, flood_labels
+from perfplan import gridworld
 from perfplan.gridworld import (
     BUILTIN_NAMES,
     Cell,
@@ -14,6 +15,7 @@ from perfplan.gridworld import (
     RobotTask,
     Scenario,
     ScenarioError,
+    _draw_pair,
     _parse_cell,
     builtin_scenario,
     component_labels,
@@ -410,12 +412,31 @@ class TestRandomEndpoints:
         for start, goal in random_endpoints(grid, 42, 20):
             assert bfs_distance(grid, start, goal) is not None
 
-    def test_gives_up_when_valid_pairs_are_rare(self, isolated_pair_grid):
+    def test_draws_the_pair_when_valid_pairs_are_rare(self, isolated_pair_grid):
+        # Rejection draws all miss; the pair is drawn by construction.
         assert len(isolated_pair_grid.free_cells()) == 4490
         t0 = time.perf_counter()
-        with pytest.raises(ValueError, match=r"^pair 0: .* in 1000 draws$"):
-            random_endpoints(isolated_pair_grid, 0, 1)
+        pairs = random_endpoints(isolated_pair_grid, 0, 3)
         assert time.perf_counter() - t0 < 1.0
+        assert set(pairs) <= {(Cell(0, 0), Cell(1, 0)), (Cell(1, 0), Cell(0, 0))}
+
+    def test_construction_draws_every_valid_pair_and_no_other(self, monkeypatch):
+        # Three components: {0,0 0,1}, the 2x2 block at x = 2..3, and
+        # {5,0 5,1}, whose one untaken start is also its one untaken goal.
+        grid = GridMap(width=6, height=2, blocked=frozenset({(1, 0), (1, 1), (4, 0), (4, 1)}))
+        free, labels = grid.free_cells(), component_labels(grid)
+        starts, goals = {Cell(0, 1), Cell(2, 0), Cell(5, 0)}, {Cell(0, 0), Cell(3, 1), Cell(5, 0)}
+        valid = {(s, g) for s in free for g in free
+                 if s != g and labels[s] == labels[g] and s not in starts and g not in goals}
+        assert len(valid) == 1 + 7 + 0
+        monkeypatch.setattr(gridworld, "_MAX_DRAWS", 0)
+        rng = random.Random(34)
+        drawn = [_draw_pair(rng, free, labels, (starts, goals)) for _ in range(700)]
+        assert set(drawn) == valid
+        assert min(map(drawn.count, valid)) > 70
+        # Only 5,1 is left as a start, and its component's only goal is 5,1.
+        taken = starts | {Cell(0, 0), Cell(3, 0), Cell(2, 1), Cell(3, 1)}
+        assert _draw_pair(rng, free, labels, (taken, goals)) is None
 
     def test_valid_for_many_seeds(self):
         labels = component_labels(SPLIT_5x5)

@@ -1,7 +1,9 @@
 """Rate parsing, benchmark sweep, collision study, and report round-trips."""
 
 import dataclasses
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from perfplan.harness import (
     parse_sweep_csv,
     sweep,
 )
+from perfplan.metrics import CaseRecord, aggregate_error
 from perfplan.planner import FOUND, NOT_FOUND, PerforationSpec, PlanOutcome, plan_multi_leg
 
 WAREHOUSE = builtin_scenario("warehouse")
@@ -388,6 +391,27 @@ class TestStudyRow:
         assert [report.collisions != () for report in replays] == [True]
         assert [r.approx_len for r in records] == [4, 4, 2, 2]
 
+    def test_plan_sets_in_any_order_are_judged_alike(self):
+        # The head-on detour above, at unequal work, given in both orders.
+        head_on = {
+            1: PlanOutcome(FOUND, (Cell(0, 0), Cell(0, 1), Cell(1, 1), Cell(2, 1), Cell(2, 0)), 2, 0),
+            2: PlanOutcome(FOUND, (Cell(2, 2), Cell(2, 1), Cell(1, 1), Cell(0, 1), Cell(0, 2)), 3, 1),
+        }
+        rows_scenario = ROWS_TRIAL[0]
+
+        def make(scenario, exact):
+            return head_on if scenario is rows_scenario else exact
+
+        def reverse(scenario, exact):
+            return dict(reversed(make(scenario, exact).items()))
+
+        n_collision, records = harness_module._study_row([ROWS_TRIAL, COLUMNS_TRIAL], make)
+        n_reversed, reversed_records = harness_module._study_row([ROWS_TRIAL, COLUMNS_TRIAL], reverse)
+        assert n_reversed == n_collision == 1
+        proxies = sorted(r.proxy_speedup for r in records)
+        assert sorted(r.proxy_speedup for r in reversed_records) == proxies
+        assert len(set(proxies)) == 3
+
     def test_failed_robot_is_replayed_but_no_collision(self, replays):
         n_collision, records = harness_module._study_row(
             [ROWS_TRIAL], lambda scenario, exact: {1: PlanOutcome(NOT_FOUND, (), 1, 0), 2: exact[2]})
@@ -475,6 +499,48 @@ class TestReports:
             parse(f"{header}\n{first}\n{second},99\n")
         with pytest.raises(ValueError, match=rf"^{kind} CSV line 2: {width - 2} fields where the header has {width}$"):
             parse(f"{header}\n{first.rsplit(',', 2)[0]}\n{second}\n")
+
+    # A row holds only what a run can produce; the parser names the line.
+    @pytest.mark.parametrize("row, reason", [
+        ("1/2,-3,0.0,1.0", "n_trials -3 is below 1"),
+        ("1/2,0,0.0,1.0", "n_trials 0 is below 1"),
+        ("1/2,3,150.0,1.0", "pct_collision_trials 150.0 is not a percentage in [0, 100]"),
+        ("1/2,3,-50.0,1.0", "pct_collision_trials -50.0 is not a percentage in [0, 100]"),
+        ("1/2,3,50.0,1.0", "pct_collision_trials 50.0 is no whole number of 3 trials"),
+        ("1/2,3,0.0,nan", "mean_speedup_proxy nan is not a finite speedup above 0"),
+        ("1/2,3,0.0,-1.0", "mean_speedup_proxy -1.0 is not a finite speedup above 0"),
+        ("1/2,3,0.0,0.0", "mean_speedup_proxy 0.0 is not a finite speedup above 0"),
+    ])
+    def test_collision_parser_rejects_a_row_no_study_gives(self, row, reason):
+        with pytest.raises(ValueError, match=rf"^collision CSV line 3: {re.escape(reason)}$"):
+            parse_collision_csv(f"{COLLISION_HEADER}\n1/2,3,66.66666666666667,1.0\n{row}\n")
+
+    @pytest.mark.parametrize("columns, reason", [
+        ("1.2,1.5,150.0,5.0,2.0,3.0", "pct_len_increase 150.0 is not a percentage in [0, 100]"),
+        ("nan,1.5,10.0,5.0,2.0,3.0", "mean_speedup_wall nan is not finite"),
+        ("1.2,1.5,10.0,5.0,inf,inf", "e_p inf is not finite"),
+        ("1.2,1.5,10.0,-5.0,2.0,3.0", "pct_failed -5.0 is not a percentage in [0, 100]"),
+        ("1.2,1.5,10.0,5.0,4.0,3.0", "max_increase_pct 3.0 is below e_p 4.0"),
+        ("1.2,1.5,10.0,5.0,-2.0,3.0", "e_p -2.0 is negative"),
+        ("-1.2,1.5,10.0,5.0,2.0,3.0", "mean_speedup_wall -1.2 is negative"),
+        ("1.2,0.0,10.0,5.0,2.0,3.0", "mean_speedup_proxy 0.0 is not a finite speedup above 0"),
+    ])
+    def test_sweep_parser_rejects_a_row_no_sweep_gives(self, columns, reason):
+        with pytest.raises(ValueError, match=rf"^sweep CSV line 2: {re.escape(reason)}$"):
+            parse_sweep_csv(f"{SWEEP_HEADER}\n1/2,0.5,{columns}\n")
+
+    def test_collision_rows_take_every_whole_number_of_trials(self):
+        for n_trials in (1, 3, 7, 100, 300):
+            rows = [CollisionRow(Fraction(1, 2), n_trials, 100 * k / n_trials, 1.0) for k in range(n_trials + 1)]
+            assert parse_collision_csv(emit_reports(rows)) == rows
+
+    def test_sweep_rows_allow_a_mean_one_ulp_above_its_max(self):
+        # Eleven cases, each 13 edges against 6 exact: the float mean of
+        # their equal increases reads one ulp above that increase.
+        stats = aggregate_error(CaseRecord(k, 6, 13, 1, 1) for k in range(11))
+        assert stats.e_p == math.nextafter(stats.max_increase_pct, math.inf)
+        row = SweepRow(Fraction(1, 2), 0.0, 1.0, 100.0, 0.0, stats.e_p, stats.max_increase_pct)
+        assert parse_sweep_csv(emit_reports([row])) == [row]
 
     def test_sweep_parser_rejects_a_rate_decimal_that_is_not_the_rate(self):
         text = emit_reports(SWEEP_ROWS)

@@ -419,6 +419,14 @@ def test_detector_matches_exhaustive_scan(timelines):
     assert got == scan_collisions(timelines)
 
 
+# The events depend on the timelines alone: any order of a group, on either
+# side of the threshold, gives the same tuple.
+@SETTINGS
+@given(padded_timelines(), st.data())
+def test_every_order_of_the_timelines_gives_the_same_events(timelines, data):
+    assert detect_collisions(data.draw(st.permutations(timelines))) == detect_collisions(timelines)
+
+
 # Every group here takes the per-tick path, and long parked tails make the
 # parked robots' index and their events to the horizon carry most ticks.
 # Drawing up to 24 walks is slow, so this takes fewer examples.
